@@ -410,8 +410,8 @@ int main(int Argc, char **Argv) {
   Report.meta("clients", static_cast<double>(Clients));
   Report.meta("hardware_concurrency", static_cast<double>(Hw));
   if (Hw == 1) {
-    std::printf("# WARNING: hardware_concurrency == 1; worker scaling and "
-                "Step-1 parallelism cannot show real speedups here\n");
+    std::printf("# WARNING: hardware_concurrency == 1; worker scaling "
+                "cannot show real speedups here\n");
     Report.meta("single_core_warning",
                 "hardware_concurrency == 1: parallel speedups not "
                 "measurable on this machine");

@@ -283,34 +283,13 @@ void Scrubber::repairDisk(CycleReport &R) {
 bool Scrubber::tryRepairFromDisk(DocId Doc) {
   if (Persist == nullptr)
     return false;
-  const SignatureTable &Sig = Store.signatures();
 
   // Rebuild durable truth off to the side: newest valid snapshot plus
-  // type-checked WAL replay, exactly the crash-recovery path, into a
-  // scratch store the live one never sees.
-  service::DocumentStore Scratch(Sig);
-  persist::Persistence::recover(Sig, Persist->config().Dir, Scratch);
-  if (!Scratch.contains(Doc))
-    return false;
-
-  uint64_t Version = 0;
-  std::string Blob;
-  std::vector<service::DocumentStore::RestoreEntry> History;
-  bool Got = Scratch.withDocument(
-      Doc, [&](const Tree *T, uint64_t V,
-               const std::vector<service::DocumentStore::HistoryEntry> &H) {
-        Version = V;
-        Blob = persist::encodeTree(Sig, T);
-        for (const service::DocumentStore::HistoryEntry &E : H) {
-          service::DocumentStore::RestoreEntry RE;
-          RE.Version = E.Version;
-          RE.Script = *E.Script;
-          if (E.Author != nullptr)
-            RE.Author = *E.Author;
-          History.push_back(std::move(RE));
-        }
-      });
-  if (!Got)
+  // type-checked WAL replay, exactly the crash-recovery path.
+  service::CommittedDoc Durable = persist::Persistence::replayDocument(
+      Store.signatures(), Persist->config().Dir, Doc,
+      Store.config().HistoryCapacity);
+  if (!Durable.live())
     return false;
 
   // The quarantine blocks writes, so the live version is frozen; if the
@@ -318,23 +297,9 @@ bool Scrubber::tryRepairFromDisk(DocId Doc) {
   // install would silently roll the document back. Refuse -- staying
   // quarantined with a warning beats losing acknowledged writes.
   service::DocumentSnapshot Live = Store.snapshot(Doc);
-  if (!Live.Ok || Live.Version != Version)
+  if (!Live.Ok || Live.Version != Durable.version())
     return false;
-
-  service::StoreResult SR = Store.repair(
-      Doc, Version,
-      [&](TreeContext &Ctx) {
-        service::BuildResult B;
-        persist::DecodeTreeResult D = persist::decodeTree(Sig, Ctx, Blob);
-        if (!D.ok()) {
-          B.Error = D.Error;
-          return B;
-        }
-        B.Root = D.Root;
-        return B;
-      },
-      std::move(History), Scratch.openAuthor(Doc));
-  return SR.Ok;
+  return std::move(Durable).installInto(Store, Doc, /*Repair=*/true).Ok;
 }
 
 Scrubber::Stats Scrubber::stats() const {

@@ -9,14 +9,13 @@
 #include "blame/Provenance.h"
 #include "persist/BinaryCodec.h"
 #include "persist/Snapshot.h"
-#include "truechange/Inverse.h"
-#include "truechange/MTree.h"
-#include "truechange/TypeChecker.h"
+#include "service/CommittedDoc.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include <unistd.h>
 
@@ -651,35 +650,33 @@ RecoveryResult Persistence::recoverAndAttach(DocumentStore &S,
 
 namespace {
 
-/// Replay-time state of one document.
+/// Replay-time state of one document: the shared replay unit plus
+/// recovery's own bookkeeping.
 struct ReplayDoc {
-  std::unique_ptr<MTree> M;
-  uint64_t Version = 0;
+  explicit ReplayDoc(const SignatureTable &Sig, size_t HistoryCapacity)
+      : Doc(Sig, HistoryCapacity) {}
+
+  service::CommittedDoc Doc;
   uint64_t SnapSeq = 0;
   uint64_t LastSeq = 0;
-  bool Live = false;
   /// A record failed to decode or type-check: keep the current (still
   /// consistent) state, apply nothing further.
   bool Frozen = false;
   /// A record tore the tree mid-apply: exclude the document entirely.
   bool Dropped = false;
-  /// Forward scripts of the rollback ring (with authors), oldest first.
-  std::vector<DocumentStore::RestoreEntry> History;
-  /// Author of version 0, from the snapshot or a replayed open record.
-  std::string OpenAuthor;
 };
 
-} // namespace
-
-RecoveryResult Persistence::recover(const SignatureTable &Sig,
-                                    const std::string &Dir,
-                                    DocumentStore &Store,
-                                    blame::ProvenanceIndex *Prov) {
-  RecoveryResult R;
-  LinearTypeChecker Checker(Sig);
+/// Phases 1 and 2 of recovery: the newest valid snapshot per document,
+/// then the WAL suffix replayed in log order through each document's
+/// replay unit. With \p Only set, every other document is skipped.
+std::unordered_map<uint64_t, ReplayDoc>
+replay(const SignatureTable &Sig, const std::string &Dir, size_t HistoryCap,
+       blame::ProvenanceIndex *Prov, std::optional<uint64_t> Only,
+       RecoveryResult &R) {
   std::unordered_map<uint64_t, ReplayDoc> Docs;
-  if (Prov != nullptr)
-    Prov->clear();
+  auto DocFor = [&](uint64_t Doc) -> ReplayDoc & {
+    return Docs.try_emplace(Doc, Sig, HistoryCap).first->second;
+  };
 
   // Phase 1: newest valid snapshot per document. Validity is decided by
   // file contents (CRC + full decode); names only locate the files.
@@ -690,6 +687,8 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       ++R.SnapshotsCorrupt;
       continue;
     }
+    if (Only && Res.Snap.Doc != *Only)
+      continue;
     auto It = BestSnap.find(Res.Snap.Doc);
     if (It == BestSnap.end() || It->second.Seq < Res.Snap.Seq)
       BestSnap[Res.Snap.Doc] = std::move(Res.Snap);
@@ -697,11 +696,11 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
   for (auto &[Doc, Snap] : BestSnap) {
     ++R.SnapshotsLoaded;
     R.MaxSeq = std::max(R.MaxSeq, Snap.Seq);
-    ReplayDoc &D = Docs[Doc];
+    ReplayDoc &D = DocFor(Doc);
     D.SnapSeq = D.LastSeq = Snap.Seq;
     if (Snap.Tombstone)
-      continue; // D.Live stays false: erased as of Snap.Seq
-    TreeContext Ctx(Sig); // transient: MTree copies the structure out
+      continue; // the unit stays empty: erased as of Snap.Seq
+    TreeContext Ctx(Sig); // transient: load() copies the structure out
     DecodeTreeResult TreeRes = decodeTree(Sig, Ctx, Snap.TreeBlob);
     if (!TreeRes.ok()) {
       // CRC passed but the blob is undecodable: without the base state
@@ -711,18 +710,12 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       D.Dropped = true;
       continue;
     }
-    D.M = std::make_unique<MTree>(MTree::fromTree(Sig, TreeRes.Root));
-    D.Version = Snap.Version;
-    D.Live = true;
-    D.OpenAuthor = Snap.OpenAuthor;
-    if (Prov != nullptr && !Snap.ProvBlob.empty() &&
-        !Prov->installSnapshot(Doc, Snap.ProvBlob))
-      Prov->eraseDoc(Doc); // malformed blob: degrade to unattributed
+    std::vector<DocumentStore::RestoreEntry> History;
     for (size_t I = 0; I != Snap.History.size(); ++I) {
       DecodeScriptResult SR = decodeEditScript(Sig, Snap.History[I].second);
       if (!SR.Ok) {
         // History only bounds rollback depth; losing it is benign.
-        D.History.clear();
+        History.clear();
         break;
       }
       DocumentStore::RestoreEntry E;
@@ -730,14 +723,18 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       E.Script = std::move(SR.Script);
       if (I < Snap.HistoryAuthors.size())
         E.Author = Snap.HistoryAuthors[I];
-      D.History.push_back(std::move(E));
+      History.push_back(std::move(E));
     }
+    D.Doc.load(TreeRes.Root, Snap.Version, std::move(History),
+               Snap.OpenAuthor);
+    if (Prov != nullptr && !Snap.ProvBlob.empty() &&
+        !Prov->installSnapshot(Doc, Snap.ProvBlob))
+      Prov->eraseDoc(Doc); // malformed blob: degrade to unattributed
   }
 
   // Phase 2: replay the WAL suffix in log order. Segment indices order
   // segments; within a segment, append order holds. Torn tails were
   // already cut by readWalSegment.
-  size_t HistoryCap = Store.config().HistoryCapacity;
   for (const auto &[Index, Path] : listWalSegments(Dir)) {
     WalSegment Seg = readWalSegment(Index, Path);
     R.TornBytes += Seg.TornBytes;
@@ -745,7 +742,9 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       continue;
     for (WalRecord &Rec : Seg.Records) {
       R.MaxSeq = std::max(R.MaxSeq, Rec.Seq);
-      ReplayDoc &D = Docs[Rec.Doc];
+      if (Only && Rec.Doc != *Only)
+        continue;
+      ReplayDoc &D = DocFor(Rec.Doc);
       if (Rec.Seq <= D.SnapSeq || D.Dropped || D.Frozen) {
         ++R.RecordsSkipped;
         continue;
@@ -753,13 +752,11 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       D.LastSeq = Rec.Seq;
 
       if (Rec.Kind == WalKind::Erase) {
-        if (!D.Live) {
+        if (!D.Doc.live()) {
           ++R.OrphanRecords;
           continue;
         }
-        D.M.reset();
-        D.Live = false;
-        D.History.clear();
+        D.Doc.clear();
         if (Prov != nullptr)
           Prov->eraseDoc(Rec.Doc);
         ++R.RecordsReplayed;
@@ -771,108 +768,62 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       // rollback after an erase) is the erase-overtakes-in-flight race
       // artifact whatever its payload holds, and skipping it must not
       // freeze the document.
-      if (Rec.Kind == WalKind::Open ? D.Live : !D.Live) {
+      if (Rec.Kind == WalKind::Open ? D.Doc.live() : !D.Doc.live()) {
         ++R.OrphanRecords;
         continue;
       }
 
       DecodeScriptResult SR = decodeEditScript(Sig, Rec.Script);
-      if (!SR.Ok) {
-        D.Frozen = true;
-        ++R.InvalidRecords;
-        continue;
-      }
-
-      if (Rec.Kind == WalKind::Open) {
-        if (!Checker.checkInitializing(SR.Script).Ok) {
-          D.Frozen = true;
-          ++R.InvalidRecords;
-          continue;
-        }
-        auto M = std::make_unique<MTree>(Sig);
-        MTree::PatchResult P = M->patchChecked(SR.Script);
-        if (!P.Ok) {
-          // The fresh MTree is discarded, so nothing tears; but the
-          // document cannot come into being.
-          D.Frozen = true;
-          ++R.InvalidRecords;
-          continue;
-        }
+      DocumentStore::StoreOp Op =
+          Rec.Kind == WalKind::Open     ? DocumentStore::StoreOp::Open
+          : Rec.Kind == WalKind::Submit ? DocumentStore::StoreOp::Submit
+                                        : DocumentStore::StoreOp::Rollback;
+      switch (SR.Ok ? D.Doc.apply(Op, Rec.Version, SR.Script, Rec.Author)
+                    : service::CommittedDoc::Outcome::Rejected) {
+      case service::CommittedDoc::Outcome::Applied:
         R.EditsReplayed += SR.Script.size();
-        D.M = std::move(M);
-        D.Live = true;
-        D.Version = 0;
-        D.History.clear();
-        D.OpenAuthor = Rec.Author;
         if (Prov != nullptr)
-          Prov->apply(Rec.Doc, Rec.Version, DocumentStore::StoreOp::Open,
-                      Rec.Author, SR.Script);
+          Prov->apply(Rec.Doc, Rec.Version, Op, Rec.Author, SR.Script);
         ++R.RecordsReplayed;
-        continue;
-      }
-
-      // Submit or Rollback on an existing document.
-      if (!Checker.checkWellTyped(SR.Script).Ok) {
+        break;
+      case service::CommittedDoc::Outcome::Rejected:
         D.Frozen = true;
         ++R.InvalidRecords;
-        continue;
-      }
-      MTree::PatchResult P = D.M->patchChecked(SR.Script);
-      if (!P.Ok) {
-        // patchChecked applies edit by edit; a mid-script failure leaves
-        // the tree torn, so the document is excluded rather than
-        // restored half-applied.
+        break;
+      case service::CommittedDoc::Outcome::Torn:
+        // Excluded rather than restored half-applied.
         D.Dropped = true;
-        D.Live = false;
-        D.M.reset();
-        D.History.clear();
+        D.Doc.clear();
         if (Prov != nullptr)
           Prov->eraseDoc(Rec.Doc);
         ++R.DocsDropped;
         ++R.InvalidRecords;
-        continue;
+        break;
       }
-      R.EditsReplayed += SR.Script.size();
-      D.Version = Rec.Version;
-      if (Prov != nullptr)
-        Prov->apply(Rec.Doc, Rec.Version,
-                    Rec.Kind == WalKind::Submit
-                        ? DocumentStore::StoreOp::Submit
-                        : DocumentStore::StoreOp::Rollback,
-                    Rec.Author, SR.Script);
-      if (Rec.Kind == WalKind::Submit) {
-        DocumentStore::RestoreEntry E;
-        E.Version = Rec.Version;
-        E.Script = std::move(SR.Script);
-        E.Author = std::move(Rec.Author);
-        D.History.push_back(std::move(E));
-        if (D.History.size() > HistoryCap)
-          D.History.erase(D.History.begin());
-      } else {
-        // Rollback consumed the ring's newest record.
-        if (!D.History.empty() && D.History.back().Version == Rec.Version + 1)
-          D.History.pop_back();
-        else
-          D.History.clear(); // ring out of sync (capacity eviction): drop
-      }
-      ++R.RecordsReplayed;
     }
   }
 
+  return Docs;
+}
+
+} // namespace
+
+RecoveryResult Persistence::recover(const SignatureTable &Sig,
+                                    const std::string &Dir,
+                                    DocumentStore &Store,
+                                    blame::ProvenanceIndex *Prov) {
+  RecoveryResult R;
+  if (Prov != nullptr)
+    Prov->clear();
+  std::unordered_map<uint64_t, ReplayDoc> Docs =
+      replay(Sig, Dir, Store.config().HistoryCapacity, Prov, std::nullopt, R);
+
   // Phase 3: install the survivors.
   for (auto &[Doc, D] : Docs) {
-    if (!D.Live || !D.M)
+    if (!D.Doc.live())
       continue;
-    service::StoreResult Res = Store.restore(
-        Doc, D.Version,
-        [&](TreeContext &Ctx) {
-          service::BuildResult B;
-          B.Root = D.M->toTreePreservingUris(Ctx);
-          if (B.Root == nullptr)
-            B.Error = "recovered tree is not closed";
-          return B;
-        },
-        std::move(D.History), D.OpenAuthor);
+    uint64_t Version = D.Doc.version();
+    service::StoreResult Res = std::move(D.Doc).installInto(Store, Doc);
     if (!Res.Ok) {
       if (Prov != nullptr)
         Prov->eraseDoc(Doc);
@@ -881,7 +832,20 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
     }
     ++R.DocsRecovered;
     R.NodesRestored += Res.TreeSize;
-    R.Docs.push_back({Doc, D.LastSeq, D.SnapSeq, D.Version});
+    R.Docs.push_back({Doc, D.LastSeq, D.SnapSeq, Version});
   }
   return R;
+}
+
+service::CommittedDoc Persistence::replayDocument(const SignatureTable &Sig,
+                                                  const std::string &Dir,
+                                                  uint64_t Doc,
+                                                  size_t HistoryCapacity) {
+  RecoveryResult Unused;
+  std::unordered_map<uint64_t, ReplayDoc> Docs =
+      replay(Sig, Dir, HistoryCapacity, nullptr, Doc, Unused);
+  auto It = Docs.find(Doc);
+  if (It == Docs.end())
+    return service::CommittedDoc(Sig, HistoryCapacity);
+  return std::move(It->second.Doc);
 }

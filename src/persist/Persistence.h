@@ -76,7 +76,7 @@
 
 #include "persist/IoEnv.h"
 #include "persist/Wal.h"
-#include "service/DocumentStore.h"
+#include "service/CommittedDoc.h"
 
 #include <chrono>
 #include <condition_variable>
@@ -258,6 +258,15 @@ public:
                                 const std::string &Dir,
                                 service::DocumentStore &Store,
                                 blame::ProvenanceIndex *Prov = nullptr);
+
+  /// Replays document \p Doc alone from \p Dir, as recover() would, into
+  /// a unit the caller installs -- the integrity scrubber's repair from
+  /// durable state. The unit is empty (not live) when recover() would not
+  /// install the document: absent, erased, or dropped as torn.
+  static service::CommittedDoc replayDocument(const SignatureTable &Sig,
+                                              const std::string &Dir,
+                                              uint64_t Doc,
+                                              size_t HistoryCapacity);
 
   /// recover() into \p Store from this instance's directory, seed the
   /// sequence counter past everything recovered, then attach().

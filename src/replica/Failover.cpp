@@ -7,34 +7,10 @@
 #include "replica/Failover.h"
 
 #include "blame/Provenance.h"
-#include "persist/BinaryCodec.h"
 
 using namespace truediff;
 using namespace truediff::replica;
 using service::DocumentStore;
-
-namespace {
-
-/// Restores an exported tree blob with its URIs intact -- the promoted
-/// store must be byte-identical (URI-level) to the follower's applied
-/// state, or the convergence digests would diverge on re-replication.
-service::TreeBuilder
-makeRestoreBuilder(const std::string &Blob,
-                   const SignatureTable &Sig) {
-  return [&Blob, &Sig](TreeContext &Ctx) -> service::BuildResult {
-    service::BuildResult Out;
-    persist::DecodeTreeResult R =
-        persist::decodeTree(Sig, Ctx, Blob, /*PreserveUris=*/true);
-    if (!R.ok()) {
-      Out.Error = R.Error.empty() ? "malformed exported tree" : R.Error;
-      return Out;
-    }
-    Out.Root = R.Root;
-    return Out;
-  };
-}
-
-} // namespace
 
 PromotionResult replica::promoteFollower(Follower &F, DocumentStore &Store,
                                          blame::ProvenanceIndex *Prov,
@@ -44,38 +20,35 @@ PromotionResult replica::promoteFollower(Follower &F, DocumentStore &Store,
   Out.Epoch = NewEpoch;
 
   // Fence first: from here on the old leader cannot feed this node, so
-  // the export below is final, not a moving target.
+  // the state installed below is final, not a moving target.
   F.prepareForPromotion(NewEpoch);
-  Follower::Export E = F.exportForPromotion();
-  Out.LastSeq = E.LastSeq;
 
   std::vector<ReplicationLog::SeedDoc> Seeds;
-  Seeds.reserve(E.Docs.size());
-  for (Follower::ExportedDoc &D : E.Docs) {
-    service::StoreResult R =
-        Store.restore(D.Doc, D.Version,
-                      makeRestoreBuilder(D.TreeBlob, Store.signatures()),
-                      std::move(D.History), std::move(D.OpenAuthor));
-    if (!R.Ok) {
-      Out.Error = "restore of document " + std::to_string(D.Doc) +
-                  " failed: " + R.Error;
-      return Out;
+  {
+    // One consistent cut: no record lands while the units install.
+    std::lock_guard<std::mutex> Lock(F.Mu);
+    Out.LastSeq = F.LastSeq;
+    for (const auto &[Doc, RD] : F.Docs) {
+      service::StoreResult R = RD.State.installInto(Store, Doc);
+      if (!R.Ok) {
+        Out.Error = "restore of document " + std::to_string(Doc) +
+                    " failed: " + R.Error;
+        return Out;
+      }
+      if (Prov != nullptr) {
+        std::string Blob = F.Prov.snapshotDoc(Doc);
+        if (!Blob.empty())
+          Prov->installSnapshot(Doc, Blob);
+      }
+      Seeds.push_back({Doc, RD.Incarnation, RD.State.version(), RD.DocSeq});
+      ++Out.Docs;
     }
-    if (Prov != nullptr && !D.ProvBlob.empty())
-      Prov->installSnapshot(D.Doc, D.ProvBlob);
-    ReplicationLog::SeedDoc S;
-    S.Doc = D.Doc;
-    S.Incarnation = D.Incarnation;
-    S.Version = D.Version;
-    S.LastSeq = D.DocSeq;
-    Seeds.push_back(S);
-    ++Out.Docs;
   }
 
   // Seed before attach: the first post-promotion commit must continue
-  // the exported chains (same incarnations, seq = LastSeq + 1), or
+  // the installed chains (same incarnations, seq = LastSeq + 1), or
   // re-pointed followers would reject the stream.
-  Log.seed(E.LastSeq, Seeds);
+  Log.seed(Out.LastSeq, Seeds);
   Log.attach();
   Out.Ok = true;
   return Out;

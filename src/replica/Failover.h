@@ -12,15 +12,16 @@
 ///   1. fence    -- prepareForPromotion(NewEpoch): the follower drops
 ///                  its leader link and raises its epoch fencing floor,
 ///                  so the old leader can never be accepted again;
-///   2. export   -- one consistent cut of the applied state (every
-///                  document the product of a committed record prefix,
-///                  because followers only ever apply type-checked,
-///                  gap-free script sequences);
-///   3. install  -- DocumentStore::restore per document (URIs
-///                  preserved), provenance snapshots into the node's
-///                  blame index, and ReplicationLog::seed so the new
-///                  leader's record stream continues each per-document
-///                  chain seamlessly.
+///   2. install  -- under the follower's state mutex, one consistent cut
+///                  of the applied state (every document the product of
+///                  a committed record prefix, because followers only
+///                  ever apply type-checked, gap-free script sequences)
+///                  goes straight into the store: each document's replay
+///                  unit restores itself (CommittedDoc::installInto, URIs
+///                  preserved) and its provenance snapshot goes into the
+///                  node's blame index; then ReplicationLog::seed lets
+///                  the new leader's record stream continue each
+///                  per-document chain seamlessly.
 ///
 /// After promoteFollower the caller flips the node's RoleState to
 /// Leader, starts a Leader endpoint with the new epoch, and serves
@@ -63,7 +64,7 @@ struct PromotionResult {
   uint64_t Epoch = 0;
 };
 
-/// Runs the fence/export/install sequence: \p F stops following and its
+/// Runs the fence/install sequence: \p F stops following and its
 /// applied state becomes \p Store's content (URIs preserved, history
 /// rings intact), \p Prov (may be null) receives each document's
 /// provenance snapshot, and \p Log -- which must be fresh: never
@@ -71,8 +72,8 @@ struct PromotionResult {
 /// store. On return the store serves exactly the committed prefix the
 /// follower had applied, ready for a Leader endpoint at \p NewEpoch.
 ///
-/// \p Store must not already contain any exported document (promotion
-/// installs into a fresh store). Fails atomically per document: the
+/// \p Store must not already contain any of the follower's documents
+/// (promotion installs into a fresh store). Fails atomically per document: the
 /// first restore failure aborts with its error.
 PromotionResult promoteFollower(Follower &F, service::DocumentStore &Store,
                                 blame::ProvenanceIndex *Prov,

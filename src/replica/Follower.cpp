@@ -9,11 +9,10 @@
 #include "blame/Render.h"
 #include "persist/BinaryCodec.h"
 #include "support/Sha256.h"
-#include "tree/SExpr.h"
-#include "truechange/TypeChecker.h"
 
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <netdb.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -281,96 +280,67 @@ void Follower::applyDocRecord(Conn &C, const RecordMsg &R) {
     return;
   }
 
+  service::DocumentStore::StoreOp Op;
   if (R.Op == ReplOp::Open) {
     if (It != Docs.end() && It->second.Incarnation >= R.Incarnation) {
       ++Counters.DupRecords; // a newer snapshot already covers this life
       return;
     }
-    persist::DecodeScriptResult D = persist::decodeEditScript(Sig, R.Blob);
-    LinearTypeChecker TC(Sig);
-    if (!D.Ok || !TC.checkInitializing(D.Script).Ok) {
+    Op = service::DocumentStore::StoreOp::Open;
+  } else {
+    if (It == Docs.end()) {
+      // Erase notifications can overtake in-flight script notifications
+      // on the leader; a record for a document we no longer hold is
+      // expected noise, not an error.
+      ++Counters.OrphanRecords;
+      return;
+    }
+    const ReplicaDoc &D = It->second;
+    if (D.Resyncing)
+      return; // the pending snapshot supersedes everything before it
+    if (R.Seq <= D.DocSeq) {
+      ++Counters.DupRecords;
+      return;
+    }
+    uint64_t V = D.State.version();
+    uint64_t Expect = R.Op == ReplOp::Submit ? V + 1 : (V == 0 ? 0 : V - 1);
+    if (R.Incarnation != D.Incarnation || R.Version != Expect ||
+        (R.Op == ReplOp::Rollback && V == 0)) {
       requestResync(C, R.Doc);
       return;
     }
-    MTree M(Sig);
-    if (!M.patchChecked(D.Script).Ok) {
-      requestResync(C, R.Doc);
-      return;
-    }
-    ReplicaDoc &RD = Docs[R.Doc];
-    RD.T = std::make_unique<MTree>(std::move(M));
-    RD.Version = R.Version;
-    RD.Incarnation = R.Incarnation;
-    RD.DocSeq = R.Seq;
-    RD.Resyncing = false;
-    RD.RefreshGen = HelloGen;
-    RD.Ring.clear();
-    RD.OpenAuthor = R.Author;
-    Prov.apply(R.Doc, R.Version, service::DocumentStore::StoreOp::Open,
-               R.Author, D.Script);
-    ++Counters.RecordsApplied;
-    return;
+    Op = R.Op == ReplOp::Submit ? service::DocumentStore::StoreOp::Submit
+                                : service::DocumentStore::StoreOp::Rollback;
   }
 
-  // Submit / Rollback.
-  if (It == Docs.end()) {
-    // Erase notifications can overtake in-flight script notifications on
-    // the leader; a record for a document we no longer hold is expected
-    // noise, not an error.
-    ++Counters.OrphanRecords;
+  persist::DecodeScriptResult Dec = persist::decodeEditScript(Sig, R.Blob);
+  using Outcome = service::CommittedDoc::Outcome;
+  if (Op == service::DocumentStore::StoreOp::Open) {
+    // An open replays into a fresh unit, so a rejected one leaves any
+    // older life of the document untouched until the resync replaces it.
+    service::CommittedDoc Fresh(Sig);
+    if (!Dec.Ok || Fresh.apply(Op, R.Version, Dec.Script, R.Author) !=
+                       Outcome::Applied) {
+      requestResync(C, R.Doc);
+      return;
+    }
+    It = Docs.try_emplace(R.Doc, Sig).first;
+    It->second.State = std::move(Fresh);
+    It->second.Incarnation = R.Incarnation;
+  } else if (!Dec.Ok || It->second.State.apply(Op, R.Version, Dec.Script,
+                                               R.Author) != Outcome::Applied) {
+    // A torn tree is never kept past the snapshot this requests, which
+    // replaces the whole document (Resyncing gates records until then).
+    requestResync(C, R.Doc);
     return;
   }
   ReplicaDoc &D = It->second;
-  if (D.Resyncing)
-    return; // the pending snapshot supersedes everything before it
-  if (R.Seq <= D.DocSeq) {
-    ++Counters.DupRecords;
-    return;
-  }
-  uint64_t Expect =
-      R.Op == ReplOp::Submit ? D.Version + 1
-                             : (D.Version == 0 ? uint64_t(0) : D.Version - 1);
-  if (R.Incarnation != D.Incarnation || R.Version != Expect ||
-      (R.Op == ReplOp::Rollback && D.Version == 0)) {
-    requestResync(C, R.Doc);
-    return;
-  }
-  persist::DecodeScriptResult Dec = persist::decodeEditScript(Sig, R.Blob);
-  LinearTypeChecker TC(Sig);
-  if (!Dec.Ok || !TC.checkWellTyped(Dec.Script).Ok ||
-      !D.T->patchChecked(Dec.Script).Ok) {
-    // patchChecked may have applied a prefix before failing; the
-    // snapshot we request replaces the whole document, so a torn state
-    // is never served (Resyncing gates reads' records until then).
-    requestResync(C, R.Doc);
-    return;
-  }
-  D.Version = R.Version;
   D.DocSeq = R.Seq;
+  D.Resyncing = false;
   D.RefreshGen = HelloGen;
-  // Fold the applied record into the provenance index and the retained
-  // ring -- only after the patch succeeded, so attribution never gets
-  // ahead of the tree.
-  if (R.Op == ReplOp::Submit) {
-    Prov.apply(R.Doc, R.Version, service::DocumentStore::StoreOp::Submit,
-               R.Author, Dec.Script);
-    HistoryRec H;
-    H.Version = R.Version;
-    H.Author = R.Author;
-    H.Script = std::move(Dec.Script);
-    D.Ring.push_back(std::move(H));
-    if (D.Ring.size() > HistoryCap)
-      D.Ring.pop_front();
-  } else {
-    Prov.apply(R.Doc, R.Version, service::DocumentStore::StoreOp::Rollback,
-               R.Author, Dec.Script);
-    // Rollback undoes the newest retained submit, exactly as the
-    // leader's store pops its ring.
-    if (!D.Ring.empty() && D.Ring.back().Version == R.Version + 1)
-      D.Ring.pop_back();
-    else
-      D.Ring.clear();
-  }
+  // Attribution follows the tree only after the patch succeeded, so it
+  // never gets ahead of it.
+  Prov.apply(R.Doc, R.Version, Op, R.Author, Dec.Script);
   ++Counters.RecordsApplied;
 }
 
@@ -398,19 +368,15 @@ void Follower::onSnapshot(const DocSnapshotMsg &S) {
   persist::DecodeTreeResult D = persist::decodeTree(Sig, Tmp, S.Blob);
   if (!D.ok())
     return; // corrupt snapshot: keep the old state; a gap will re-sync
-  MTree M = MTree::fromTree(Sig, D.Root);
-  ReplicaDoc &RD = Docs[S.Doc];
-  RD.T = std::make_unique<MTree>(std::move(M));
-  RD.Version = S.Version;
+  ReplicaDoc &RD = Docs.try_emplace(S.Doc, Sig).first->second;
+  // State transfer replaces the record chain: history before it is gone
+  // (and degrades explicitly on queries), the provenance index comes
+  // from the snapshot's canonical blob.
+  RD.State.load(D.Root, S.Version);
   RD.Incarnation = S.Incarnation;
   RD.DocSeq = S.Seq;
   RD.Resyncing = false;
   RD.RefreshGen = HelloGen;
-  // State transfer replaces the record chain: history before it is gone
-  // (and degrades explicitly on queries), the provenance index comes
-  // from the snapshot's canonical blob.
-  RD.Ring.clear();
-  RD.OpenAuthor.clear();
   if (S.ProvBlob.empty() || !Prov.installSnapshot(S.Doc, S.ProvBlob))
     Prov.eraseDoc(S.Doc);
   ++Counters.SnapshotsInstalled;
@@ -458,14 +424,10 @@ void Follower::onShardSummary(Conn &C, const ShardSummaryMsg &M) {
     // covers it.
     if (D.Resyncing || D.DocSeq > M.AsOfSeq)
       continue;
-    bool Mismatch = D.Version != E.Version;
-    if (!Mismatch) {
-      TreeContext Tmp(Sig);
-      Tree *T = D.T->toTreePreservingUris(Tmp);
-      Mismatch = T == nullptr ||
-                 Sha256::hash(printSExprWithUris(Sig, T)).toHex() !=
-                     E.DigestHex;
-    }
+    const MTree &T = *D.State.tree();
+    bool Mismatch = D.State.version() != E.Version ||
+                    !T.isClosedWellFormed() ||
+                    Sha256::hash(T.toString()).toHex() != E.DigestHex;
     if (Mismatch) {
       ++Counters.SummaryMismatches;
       requestResync(C, E.Doc);
@@ -494,17 +456,16 @@ Follower::ReadResult Follower::read(uint64_t Doc) const {
     Out.Error = "no such document";
     return Out;
   }
-  TreeContext Tmp(Sig);
-  Tree *T = It->second.T->toTreePreservingUris(Tmp);
-  if (T == nullptr) {
+  const MTree &T = *It->second.State.tree();
+  if (!T.isClosedWellFormed()) {
     Out.Error = "document is not well-formed";
     return Out;
   }
   Out.Ok = true;
-  Out.Version = It->second.Version;
-  Out.TreeSize = T->size();
-  Out.Text = printSExpr(Sig, T);
-  Out.UriText = printSExprWithUris(Sig, T);
+  Out.Version = It->second.State.version();
+  Out.TreeSize = T.indexSize() - 1; // all reachable nodes but the root
+  Out.Text = T.toString(/*WithUris=*/false);
+  Out.UriText = T.toString();
   Out.DigestHex = Sha256::hash(Out.UriText).toHex();
   return Out;
 }
@@ -528,7 +489,7 @@ service::Response Follower::blameRead(uint64_t Doc, bool HasUri,
     return R;
   }
   TreeContext Tmp(Sig);
-  Tree *T = It->second.T->toTreePreservingUris(Tmp);
+  Tree *T = It->second.State.tree()->toTree(Tmp, /*PreserveUris=*/true);
   if (T == nullptr) {
     service::Response R;
     R.Error = "document is not well-formed";
@@ -546,9 +507,10 @@ service::Response Follower::historyRead(uint64_t Doc, URI Uri) const {
     R.Error = "no document " + std::to_string(Doc);
     return R;
   }
+  const auto &History = It->second.State.history();
   std::vector<blame::HistoryRef> Ring;
-  Ring.reserve(It->second.Ring.size());
-  for (const HistoryRec &H : It->second.Ring) {
+  Ring.reserve(History.size());
+  for (const service::DocumentStore::RestoreEntry &H : History) {
     blame::HistoryRef Ref;
     Ref.Version = H.Version;
     Ref.Author = H.Author;
@@ -600,18 +562,18 @@ void Follower::injectGapForTest(uint64_t Doc) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Docs.find(Doc);
   if (It != Docs.end())
-    It->second.Version += 1000;
+    It->second.State.skewVersionForTest(1000);
 }
 
 bool Follower::corruptDocForTest(uint64_t Doc) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Docs.find(Doc);
-  if (It == Docs.end() || It->second.T == nullptr)
+  if (It == Docs.end())
     return false;
   // Kind-preserving mutation of the first literal found: the tree stays
   // well-formed (rendering, export, and patching all keep working), only
   // its *content* is silently wrong. Version and seq are untouched.
-  std::deque<MNode *> Work{It->second.T->root()};
+  std::deque<MNode *> Work{It->second.State.tree()->root()};
   while (!Work.empty()) {
     MNode *N = Work.front();
     Work.pop_front();
@@ -645,38 +607,6 @@ void Follower::prepareForPromotion(uint64_t NewEpoch) {
       MaxEpochSeen = NewEpoch;
   }
   disconnect();
-}
-
-Follower::Export Follower::exportForPromotion() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Export Out;
-  Out.LastSeq = LastSeq;
-  Out.MaxEpochSeen = MaxEpochSeen;
-  Out.Docs.reserve(Docs.size());
-  for (const auto &[Doc, RD] : Docs) {
-    ExportedDoc E;
-    E.Doc = Doc;
-    E.Incarnation = RD.Incarnation;
-    E.Version = RD.Version;
-    E.DocSeq = RD.DocSeq;
-    E.OpenAuthor = RD.OpenAuthor;
-    TreeContext Tmp(Sig);
-    Tree *T = RD.T->toTreePreservingUris(Tmp);
-    if (T == nullptr)
-      continue; // cannot happen for applied state; skip defensively
-    E.TreeBlob = persist::encodeTree(Sig, T);
-    E.ProvBlob = Prov.snapshotDoc(Doc);
-    E.History.reserve(RD.Ring.size());
-    for (const HistoryRec &H : RD.Ring) {
-      service::DocumentStore::RestoreEntry R;
-      R.Version = H.Version;
-      R.Script = H.Script;
-      R.Author = H.Author;
-      E.History.push_back(std::move(R));
-    }
-    Out.Docs.push_back(std::move(E));
-  }
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,10 +21,13 @@
 ///   - epoch fencing: a leader announcing an epoch below the highest
 ///     this follower has ever seen is stale and is rejected.
 ///
-/// Reads materialise the document's MTree into a typed tree (URIs
-/// preserved) and render both s-expression forms plus a SHA-256 digest
-/// of the URI form -- the byte-identical convergence check the tests
-/// assert against the leader.
+/// Each document is a service::CommittedDoc, the replay unit crash
+/// recovery uses too, so records and snapshots pass the same checks and
+/// history-ring rules on both paths.
+///
+/// Reads render both s-expression forms straight from the document's
+/// MTree, plus a SHA-256 digest of the URI form -- the byte-identical
+/// convergence check the tests assert against the leader.
 ///
 /// Threading: records apply on the event-loop thread; reads and stats
 /// come from any thread under the state mutex. connectTo() blocks the
@@ -41,15 +44,16 @@
 #include "net/NetServer.h"
 #include "net/Role.h"
 #include "replica/Protocol.h"
-#include "service/DocumentStore.h"
-#include "truechange/MTree.h"
+#include "service/CommittedDoc.h"
 
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 
 namespace truediff {
 namespace replica {
+
+class ReplicationLog;
+struct PromotionResult;
 
 class Follower {
 public:
@@ -133,65 +137,33 @@ public:
   /// holds no literal to mutate.
   bool corruptDocForTest(uint64_t Doc);
 
-  /// First half of a promotion (see replica/Failover.h): drops the
+  /// First step of a promotion (see replica/Failover.h): drops the
   /// leader link and raises the fencing floor to \p NewEpoch, so no
   /// leader of an older epoch can ever be accepted again -- the old
   /// leader is fenced from this node the instant promotion begins.
   void prepareForPromotion(uint64_t NewEpoch);
 
-  /// One document of the applied state, packaged for installation into a
-  /// leader-side DocumentStore.
-  struct ExportedDoc {
-    uint64_t Doc = 0;
-    uint64_t Incarnation = 0;
-    uint64_t Version = 0;
-    uint64_t DocSeq = 0;
-    /// Attribution of version 0 (empty after a snapshot install, which
-    /// does not carry it -- acceptable, blame still answers from the
-    /// provenance blob).
-    std::string OpenAuthor;
-    /// encodeTree blob, URIs preserved: the state the store restores.
-    std::string TreeBlob;
-    /// Canonical provenance blob (ProvenanceIndex::snapshotDoc).
-    std::string ProvBlob;
-    /// Retained submit history (oldest first), so the promoted leader
-    /// can still roll back and answer history queries.
-    std::vector<service::DocumentStore::RestoreEntry> History;
-  };
-
-  struct Export {
-    uint64_t LastSeq = 0;
-    uint64_t MaxEpochSeen = 0;
-    std::vector<ExportedDoc> Docs;
-  };
-
-  /// Second half of a promotion: one consistent cut of the applied state
-  /// -- every document is the product of the committed record prefix up
-  /// to LastSeq (taken under the state mutex, so no record can land
-  /// mid-export). The follower keeps serving reads from its own state
-  /// afterwards; the export is a copy.
-  Export exportForPromotion() const;
-
 private:
-  /// One retained submit record, for history rendering; mirrors the
-  /// leader's history ring (same capacity), so both sides list the same
-  /// retained revisions.
-  struct HistoryRec {
-    uint64_t Version = 0;
-    std::string Author;
-    EditScript Script;
-  };
-
-  /// Bound of the per-document record ring; matches the store's default
-  /// HistoryCapacity so leader and follower history degrade at the same
-  /// boundary.
-  static constexpr size_t HistoryCap = 32;
+  /// Promotion installs the applied documents straight into the new
+  /// store, under the state mutex (replica/Failover.h).
+  friend PromotionResult promoteFollower(Follower &F,
+                                         service::DocumentStore &Store,
+                                         blame::ProvenanceIndex *Prov,
+                                         ReplicationLog &Log,
+                                         uint64_t NewEpoch);
 
   struct ReplicaDoc {
-    std::unique_ptr<MTree> T;
-    uint64_t Version = 0;
+    explicit ReplicaDoc(const SignatureTable &Sig) : State(Sig) {}
+
+    /// Tree, version, open author and retained submit ring. The ring
+    /// mirrors the leader's (same capacity), so both sides list the same
+    /// retained revisions; it is cleared on snapshot install (history
+    /// before a state transfer degrades explicitly, never silently
+    /// misattributes), as is the open author, which snapshots do not
+    /// carry.
+    service::CommittedDoc State;
     uint64_t Incarnation = 0;
-    /// Global seq of the newest record reflected in T.
+    /// Global seq of the newest record reflected in State.
     uint64_t DocSeq = 0;
     /// A ResyncReq is in flight; records are ignored until the snapshot
     /// lands.
@@ -199,13 +171,6 @@ private:
     /// Handshake generation that last refreshed this doc; snapshot-mode
     /// catch-up prunes docs the dump did not refresh.
     uint64_t RefreshGen = 0;
-    /// Retained submit records, oldest first. Cleared on snapshot
-    /// install (history before a state transfer degrades explicitly,
-    /// never silently misattributes).
-    std::deque<HistoryRec> Ring;
-    /// Author of version 0, from the Open record (empty when the doc
-    /// arrived by snapshot, which does not carry it).
-    std::string OpenAuthor;
   };
 
   enum class Handshake { Idle, Pending, Accepted, Stale, Failed };

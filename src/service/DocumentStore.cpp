@@ -61,10 +61,7 @@ DocumentStore::DocumentStore(const SignatureTable &Sig)
     : DocumentStore(Sig, Config()) {}
 
 DocumentStore::DocumentStore(const SignatureTable &Sig, Config C)
-    : Sig(Sig), Cfg(C), Shards(std::max<size_t>(1, C.NumShards)) {
-  if (Cfg.Step1Workers > 1)
-    Pool = std::make_unique<WorkerPool>(Cfg.Step1Workers);
-}
+    : Sig(Sig), Cfg(C), Shards(std::max<size_t>(1, C.NumShards)) {}
 
 void DocumentStore::addScriptListener(ScriptListener Listener) {
   std::lock_guard<std::mutex> Lock(ListenersMu);
@@ -226,13 +223,9 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   // trees between requests.
   TrueDiffOptions DiffOpts;
   DiffOpts.IncrementalRehash = Cfg.PersistDigests;
-  DiffOpts.Step1Pool = Pool.get();
   uint64_t ColdRehash = 0;
   if (!Cfg.PersistDigests) {
-    if (Pool != nullptr)
-      D->Current->refreshDerivedParallel(Sig, Cfg.Digest, *Pool);
-    else
-      D->Current->refreshDerived(Sig, Cfg.Digest);
+    D->Current->refreshDerived(Sig, Cfg.Digest);
     ColdRehash = SourceSize;
   }
 
@@ -315,7 +308,7 @@ StoreResult DocumentStore::rollback(DocId Doc) {
   // hold, and the old arena's (larger) charge is released right after.
   auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
   FreshCtx->attachBudget(Cfg.MemBudget);
-  Tree *Restored = M.toTreePreservingUris(*FreshCtx);
+  Tree *Restored = M.toTree(*FreshCtx, /*PreserveUris=*/true);
   if (Restored == nullptr) {
     R.Error = "internal error: rolled-back tree is not closed";
     return R;
@@ -474,6 +467,38 @@ std::optional<std::string> DocumentStore::quarantineInfo(DocId Doc) const {
   return D->QuarantineReason;
 }
 
+std::shared_ptr<DocumentStore::Document>
+DocumentStore::buildRestored(uint64_t Version, const TreeBuilder &Build,
+                             std::vector<RestoreEntry> History,
+                             std::string OpenAuthor, StoreResult &R) const {
+  auto D = std::make_shared<Document>();
+  D->Ctx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  D->Ctx->attachBudget(Cfg.MemBudget);
+  BuildResult B = Build(*D->Ctx);
+  if (B.Root == nullptr) {
+    R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
+    R.Code = B.Code != ErrCode::None ? B.Code : ErrCode::BuildFailed;
+    return nullptr;
+  }
+  D->Current = B.Root;
+  D->Version = Version;
+  D->OpenAuthor = std::move(OpenAuthor);
+  size_t Skip = History.size() > Cfg.HistoryCapacity
+                    ? History.size() - Cfg.HistoryCapacity
+                    : 0;
+  for (size_t I = Skip; I != History.size(); ++I) {
+    VersionRecord Rec;
+    Rec.Version = History[I].Version;
+    Rec.Inverse = invertScript(History[I].Script);
+    Rec.Script = std::move(History[I].Script);
+    Rec.Author = std::move(History[I].Author);
+    D->History.push_back(std::move(Rec));
+  }
+  R.Version = Version;
+  R.TreeSize = D->Current->size();
+  return D;
+}
+
 StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
                                   const TreeBuilder &Build,
                                   std::vector<RestoreEntry> History,
@@ -488,39 +513,20 @@ StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
   // Build the recovered state into a fresh context first; the corrupt
   // arena is only released once the replacement exists, so a failed
   // repair leaves the document exactly as it was (still quarantined).
-  auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
-  FreshCtx->attachBudget(Cfg.MemBudget);
-  BuildResult B = Build(*FreshCtx);
-  if (B.Root == nullptr) {
-    R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
-    R.Code = B.Code != ErrCode::None ? B.Code : ErrCode::BuildFailed;
+  std::shared_ptr<Document> Fresh = buildRestored(
+      Version, Build, std::move(History), std::move(OpenAuthor), R);
+  if (!Fresh)
     return R;
-  }
-  std::deque<VersionRecord> Ring;
-  if (History.size() > Cfg.HistoryCapacity)
-    History.erase(History.begin(),
-                  History.end() - static_cast<ptrdiff_t>(Cfg.HistoryCapacity));
-  for (RestoreEntry &E : History) {
-    VersionRecord Rec;
-    Rec.Version = E.Version;
-    Rec.Inverse = invertScript(E.Script);
-    Rec.Script = std::move(E.Script);
-    Rec.Author = std::move(E.Author);
-    Ring.push_back(std::move(Rec));
-  }
 
   std::lock_guard<std::mutex> Lock(D->Mu);
-  D->Ctx = std::move(FreshCtx);
-  D->Current = B.Root;
+  D->Ctx = std::move(Fresh->Ctx);
+  D->Current = Fresh->Current;
   D->Version = Version;
-  D->History = std::move(Ring);
-  D->OpenAuthor = std::move(OpenAuthor);
+  D->History = std::move(Fresh->History);
+  D->OpenAuthor = std::move(Fresh->OpenAuthor);
   D->Quarantined = false;
   D->QuarantineReason.clear();
-
   R.Ok = true;
-  R.Version = Version;
-  R.TreeSize = D->Current->size();
   return R;
 }
 
@@ -553,42 +559,18 @@ StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
                                    std::vector<RestoreEntry> History,
                                    std::string OpenAuthor) {
   StoreResult R;
-  auto D = std::make_shared<Document>();
-  D->Ctx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
-  D->Ctx->attachBudget(Cfg.MemBudget);
-  BuildResult B = Build(*D->Ctx);
-  if (B.Root == nullptr) {
-    R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
-    R.Code = B.Code != ErrCode::None ? B.Code : ErrCode::BuildFailed;
+  std::shared_ptr<Document> D = buildRestored(
+      Version, Build, std::move(History), std::move(OpenAuthor), R);
+  if (!D)
+    return R;
+  Shard &S = shardFor(Doc);
+  std::lock_guard<std::mutex> Lock(S.Mu);
+  if (!S.Docs.emplace(Doc, D).second) {
+    R.Error = "document already exists";
+    R.Code = ErrCode::DocumentExists;
     return R;
   }
-  D->Current = B.Root;
-  D->Version = Version;
-  D->OpenAuthor = std::move(OpenAuthor);
-  if (History.size() > Cfg.HistoryCapacity)
-    History.erase(History.begin(),
-                  History.end() - static_cast<ptrdiff_t>(Cfg.HistoryCapacity));
-  for (RestoreEntry &E : History) {
-    VersionRecord Rec;
-    Rec.Version = E.Version;
-    Rec.Inverse = invertScript(E.Script);
-    Rec.Script = std::move(E.Script);
-    Rec.Author = std::move(E.Author);
-    D->History.push_back(std::move(Rec));
-  }
-
-  {
-    Shard &S = shardFor(Doc);
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    if (!S.Docs.emplace(Doc, D).second) {
-      R.Error = "document already exists";
-      R.Code = ErrCode::DocumentExists;
-      return R;
-    }
-  }
   R.Ok = true;
-  R.Version = Version;
-  R.TreeSize = D->Current->size();
   return R;
 }
 
@@ -626,7 +608,7 @@ void DocumentStore::maybeCompact(Document &D) const {
   MTree M = MTree::fromTree(Sig, D.Current);
   auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
   FreshCtx->attachBudget(Cfg.MemBudget);
-  Tree *Fresh = M.toTreePreservingUris(*FreshCtx);
+  Tree *Fresh = M.toTree(*FreshCtx, /*PreserveUris=*/true);
   if (Fresh == nullptr)
     return; // live trees are always closed; keep the old arena if not
   D.Ctx = std::move(FreshCtx);

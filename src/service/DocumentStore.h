@@ -50,7 +50,6 @@
 #ifndef TRUEDIFF_SERVICE_DOCUMENTSTORE_H
 #define TRUEDIFF_SERVICE_DOCUMENTSTORE_H
 
-#include "support/WorkerPool.h"
 #include "tree/Tree.h"
 #include "truechange/Edit.h"
 
@@ -246,11 +245,6 @@ public:
     /// processes (replication verification). Scripts are byte-identical
     /// under either policy.
     DigestPolicy Digest = DigestPolicy::Sha256;
-    /// Worker threads for Step-1 hashing on the cold path (PersistDigests
-    /// = false, where every submit rehashes the whole stored tree).
-    /// 0 or 1 keeps hashing on the serving thread. Warm incremental
-    /// rehashes are never distributed -- the touched paths are too small.
-    unsigned Step1Workers = 0;
   };
 
   /// Which store operation a script listener is observing.
@@ -361,7 +355,7 @@ public:
   };
 
   /// Installs a recovered document: \p Build produces the tree (URIs
-  /// preserved, as with MTree::toTreePreservingUris) in the document's
+  /// preserved, as with MTree::toTree(Ctx, true)) in the document's
   /// fresh context, \p History carries the forward scripts of the
   /// retained ring (oldest first; inverses are recomputed, the ring is
   /// truncated to Config::HistoryCapacity). Unlike open this emits
@@ -462,16 +456,23 @@ private:
   void emit(DocId Doc, uint64_t Version, StoreOp Op, const EditScript &Script,
             std::string_view Author) const;
 
+  /// The unpublished document restore() and repair() install: \p Build's
+  /// tree in a fresh context at \p Version, with the newest
+  /// Config::HistoryCapacity entries of \p History as the ring (inverses
+  /// recomputed). Null on a build failure, described in \p R; otherwise
+  /// R carries the version and tree size.
+  std::shared_ptr<Document> buildRestored(uint64_t Version,
+                                          const TreeBuilder &Build,
+                                          std::vector<RestoreEntry> History,
+                                          std::string OpenAuthor,
+                                          StoreResult &R) const;
+
   /// Rebuilds \p D's tree into a fresh context, URIs preserved, if the
   /// arena has outgrown the live tree. Requires D.Mu held.
   void maybeCompact(Document &D) const;
 
   const SignatureTable &Sig;
   const Config Cfg;
-  /// Shared Step-1 hashing pool (null when Step1Workers <= 1). WorkerPool
-  /// batches are independent, so concurrent cold submits on different
-  /// documents can share it safely.
-  std::unique_ptr<WorkerPool> Pool;
   std::vector<Shard> Shards;
 
   mutable std::mutex ListenersMu;

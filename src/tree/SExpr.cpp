@@ -237,26 +237,44 @@ private:
   ParseFail Fail = ParseFail::None;
 };
 
-void printRec(const SignatureTable &Sig, const Tree *T, bool WithUris,
-              std::string &Out) {
-  Out.push_back('(');
-  Out += Sig.name(T->tag());
-  if (WithUris) {
-    Out.push_back('_');
-    Out += std::to_string(T->uri());
+/// Prints \p Root iteratively: one POD frame per open node, so a chain as
+/// deep as admission allows never recurses on the call stack.
+void printTree(const SignatureTable &Sig, const Tree *Root, bool WithUris,
+               std::string &Out) {
+  struct Frame {
+    const Tree *T;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  auto Open = [&](const Tree *T) {
+    Out.push_back('(');
+    Out += Sig.name(T->tag());
+    if (WithUris) {
+      Out.push_back('_');
+      Out += std::to_string(T->uri());
+    }
+    Stack.push_back({T, 0});
+  };
+  Open(Root);
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    const Tree *T = Top.T;
+    if (Top.NextKid < T->arity()) {
+      const Tree *Kid = T->kid(Top.NextKid++);
+      Out.push_back(' ');
+      if (Kid == nullptr)
+        Out += "<hole>";
+      else
+        Open(Kid);
+      continue;
+    }
+    for (size_t I = 0, E = T->numLits(); I != E; ++I) {
+      Out.push_back(' ');
+      Out += T->lit(I).toString();
+    }
+    Out.push_back(')');
+    Stack.pop_back();
   }
-  for (size_t I = 0, E = T->arity(); I != E; ++I) {
-    Out.push_back(' ');
-    if (T->kid(I) == nullptr)
-      Out += "<hole>";
-    else
-      printRec(Sig, T->kid(I), WithUris, Out);
-  }
-  for (size_t I = 0, E = T->numLits(); I != E; ++I) {
-    Out.push_back(' ');
-    Out += T->lit(I).toString();
-  }
-  Out.push_back(')');
 }
 
 } // namespace
@@ -275,13 +293,13 @@ ParseResult truediff::parseSExpr(TreeContext &Ctx, std::string_view Text,
 
 std::string truediff::printSExpr(const SignatureTable &Sig, const Tree *T) {
   std::string Out;
-  printRec(Sig, T, /*WithUris=*/false, Out);
+  printTree(Sig, T, /*WithUris=*/false, Out);
   return Out;
 }
 
 std::string truediff::printSExprWithUris(const SignatureTable &Sig,
                                          const Tree *T) {
   std::string Out;
-  printRec(Sig, T, /*WithUris=*/true, Out);
+  printTree(Sig, T, /*WithUris=*/true, Out);
   return Out;
 }

@@ -8,7 +8,6 @@
 
 #include "support/Sha256.h"
 #include "support/TreeHash.h"
-#include "support/WorkerPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -223,43 +222,6 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig,
     Stack.pop_back();
   }
   return Rehashed;
-}
-
-void Tree::refreshDerivedParallel(const SignatureTable &Sig,
-                                  DigestPolicy Policy, WorkerPool &Pool) {
-  if (Pool.numWorkers() <= 1) {
-    refreshDerived(Sig, Policy);
-    return;
-  }
-
-  // Partition the tree into chunk roots of at most Grain nodes (using the
-  // possibly stale cached sizes -- staleness only skews load balance, not
-  // correctness: every node ends up either below exactly one chunk root or
-  // on the spine above all of them). Spine nodes are collected preorder so
-  // the reversed vector recomputes kids before parents.
-  const uint64_t Grain =
-      std::max<uint64_t>(2048, Size / (uint64_t(Pool.numWorkers()) * 8));
-  std::vector<Tree *> Spine;
-  std::vector<Tree *> ChunkRoots;
-  foreachTreePruned([&](Tree *T) {
-    if (T->Size <= Grain || T->Kids.empty()) {
-      ChunkRoots.push_back(T);
-      return false; // chunk subtrees are handled by the pool tasks
-    }
-    Spine.push_back(T);
-    return true;
-  });
-
-  std::vector<std::function<void()>> Tasks;
-  Tasks.reserve(ChunkRoots.size());
-  for (Tree *Root : ChunkRoots)
-    Tasks.push_back([Root, &Sig, Policy] { Root->refreshDerived(Sig, Policy); });
-  Pool.run(std::move(Tasks));
-
-  for (size_t I = Spine.size(); I != 0; --I) {
-    Spine[I - 1]->computeDerived(Sig, Policy);
-    Spine[I - 1]->DerivedDirty = false;
-  }
 }
 
 void Tree::clearDiffState() {

@@ -40,7 +40,6 @@ namespace truediff {
 
 class SubtreeShare;
 class TreeContext;
-class WorkerPool;
 
 namespace detail {
 
@@ -180,21 +179,6 @@ public:
     drainPreorder(Stack, F);
   }
 
-  /// Pre-order traversal with pruning: \p Fn returns true to descend into
-  /// a node's kids, false to skip the subtree. Used by the parallel
-  /// refresh to split off chunk roots.
-  template <typename Fn> void foreachTreePruned(Fn &&F) {
-    detail::TraversalStack<Tree *> Stack;
-    Stack.push(this);
-    while (!Stack.empty()) {
-      Tree *T = Stack.pop();
-      if (!F(T))
-        continue;
-      for (size_t I = T->Kids.size(); I != 0; --I)
-        if (T->Kids[I - 1] != nullptr)
-          Stack.push(T->Kids[I - 1]);
-    }
-  }
   /// @}
 
   /// \name Diff-session marks (used by TrueDiff::takeTree)
@@ -229,13 +213,6 @@ public:
   /// children or literals. \p Policy must be the digest policy of the
   /// owning context.
   void refreshDerived(const SignatureTable &Sig, DigestPolicy Policy);
-
-  /// refreshDerived with Step-1 hashing fanned out over \p Pool: the tree
-  /// is partitioned into subtree chunks hashed in parallel, then the spine
-  /// above the chunks is recomputed serially (kids before parents).
-  /// Produces exactly the digests of the serial refresh.
-  void refreshDerivedParallel(const SignatureTable &Sig, DigestPolicy Policy,
-                              WorkerPool &Pool);
 
   /// Clears share and assignment pointers in the whole tree.
   void clearDiffState();
@@ -340,7 +317,7 @@ public:
   /// Like makeWithUri, but without the monotonicity requirement: the
   /// caller guarantees \p Uri is not carried by any live node of this
   /// context. The next fresh URI is bumped past \p Uri, so later make()
-  /// calls stay unique. Used by MTree::toTreePreservingUris to rebuild
+  /// calls stay unique. Used by MTree::toTree (preserving URIs) to rebuild
   /// rolled-back documents whose historical URIs are out of allocation
   /// order.
   Tree *adoptWithUri(TagId Tag, URI Uri, std::vector<Tree *> Kids,

@@ -19,26 +19,36 @@ MTree::MTree(const SignatureTable &Sig) : Sig(Sig) {
   Index.emplace(NullURI, Root);
 }
 
-void MTree::buildFromTree(MNode *Parent, LinkId Link, const Tree *T) {
-  Arena.emplace_back();
-  MNode *N = &Arena.back();
-  N->Tag = T->tag();
-  N->Uri = T->uri();
-  Parent->Kids[Link] = N;
-  assert(!Index.count(T->uri()) && "URIs must be unique");
-  Index.emplace(T->uri(), N);
-
-  const TagSignature &TagSig = Sig.signature(T->tag());
-  for (size_t I = 0, E = T->arity(); I != E; ++I)
-    buildFromTree(N, TagSig.Kids[I].Link, T->kid(I));
-  for (size_t I = 0, E = T->numLits(); I != E; ++I)
-    N->Lits.emplace(TagSig.Lits[I].Link, T->lit(I));
-}
-
 MTree MTree::fromTree(const SignatureTable &Sig, const Tree *T) {
   MTree M(Sig);
-  if (T != nullptr)
-    M.buildFromTree(M.Root, Sig.rootLink(), T);
+  if (T == nullptr)
+    return M;
+  // Pre-order with POD frames: each frame names the slot its node fills,
+  // so a chain as deep as admission allows never recurses.
+  struct Frame {
+    MNode *Parent;
+    LinkId Link;
+    const Tree *T;
+  };
+  M.Index.reserve(T->size() + 1);
+  std::vector<Frame> Stack;
+  Stack.push_back({M.Root, Sig.rootLink(), T});
+  while (!Stack.empty()) {
+    Frame F = Stack.back();
+    Stack.pop_back();
+    MNode *N = &M.Arena.emplace_back();
+    N->Tag = F.T->tag();
+    N->Uri = F.T->uri();
+    F.Parent->Kids[F.Link] = N;
+    bool Fresh = M.Index.emplace(N->Uri, N).second;
+    assert(Fresh && "URIs must be unique");
+    (void)Fresh;
+    const TagSignature &TagSig = Sig.signature(N->Tag);
+    for (size_t I = F.T->arity(); I != 0; --I)
+      Stack.push_back({N, TagSig.Kids[I - 1].Link, F.T->kid(I - 1)});
+    for (size_t I = 0, E = F.T->numLits(); I != E; ++I)
+      N->Lits.emplace(TagSig.Lits[I].Link, F.T->lit(I));
+  }
   return M;
 }
 
@@ -214,113 +224,157 @@ MTree::PatchResult MTree::patchChecked(const EditScript &Script) {
   return Done;
 }
 
-bool MTree::nodeEqualsTree(const MNode *N, const Tree *T) const {
-  if (N == nullptr || T == nullptr)
-    return N == nullptr && T == nullptr;
-  if (N->Tag != T->tag())
-    return false;
-  const TagSignature &TagSig = Sig.signature(T->tag());
-  if (N->Kids.size() != TagSig.Kids.size() ||
-      N->Lits.size() != TagSig.Lits.size())
-    return false;
-  for (size_t I = 0, E = T->arity(); I != E; ++I) {
-    auto It = N->Kids.find(TagSig.Kids[I].Link);
-    if (It == N->Kids.end() || !nodeEqualsTree(It->second, T->kid(I)))
+bool MTree::equalsTree(const Tree *Root) const {
+  struct Pair {
+    const MNode *N;
+    const Tree *T;
+  };
+  std::vector<Pair> Stack;
+  Stack.push_back({top(), Root});
+  while (!Stack.empty()) {
+    auto [N, T] = Stack.back();
+    Stack.pop_back();
+    if (N == nullptr || T == nullptr) {
+      if ((N == nullptr) != (T == nullptr))
+        return false;
+      continue;
+    }
+    if (N->Tag != T->tag())
       return false;
-  }
-  for (size_t I = 0, E = T->numLits(); I != E; ++I) {
-    auto It = N->Lits.find(TagSig.Lits[I].Link);
-    if (It == N->Lits.end() || !(It->second == T->lit(I)))
+    const TagSignature &TagSig = Sig.signature(T->tag());
+    if (N->Kids.size() != TagSig.Kids.size() ||
+        N->Lits.size() != TagSig.Lits.size())
       return false;
+    for (size_t I = 0, E = T->arity(); I != E; ++I) {
+      auto It = N->Kids.find(TagSig.Kids[I].Link);
+      if (It == N->Kids.end())
+        return false;
+      Stack.push_back({It->second, T->kid(I)});
+    }
+    for (size_t I = 0, E = T->numLits(); I != E; ++I) {
+      auto It = N->Lits.find(TagSig.Lits[I].Link);
+      if (It == N->Lits.end() || !(It->second == T->lit(I)))
+        return false;
+    }
   }
   return true;
 }
 
-bool MTree::equalsTree(const Tree *T) const { return nodeEqualsTree(top(), T); }
-
-Tree *MTree::toTree(TreeContext &Ctx) const {
+Tree *MTree::toTree(TreeContext &Ctx, bool PreserveUris) const {
   if (!isClosedWellFormed())
     return nullptr;
-  std::function<Tree *(const MNode *)> Build =
-      [&](const MNode *N) -> Tree * {
-    const TagSignature &TagSig = Sig.signature(N->Tag);
-    std::vector<Tree *> Kids;
-    Kids.reserve(TagSig.Kids.size());
-    for (const KidSpec &Spec : TagSig.Kids)
-      Kids.push_back(Build(N->Kids.at(Spec.Link)));
+  // Post-order with POD frames and one shared results stack: when a frame
+  // completes, its kids' trees are the top arity() entries of Done (in
+  // signature order), as in TreeContext::deepCopy.
+  struct Frame {
+    const MNode *N;
+    const TagSignature *TagSig;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  std::vector<Tree *> Done;
+  const MNode *Top = top();
+  Stack.push_back({Top, &Sig.signature(Top->Tag), 0});
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    if (F.NextKid < F.TagSig->Kids.size()) {
+      const MNode *Kid = F.N->Kids.at(F.TagSig->Kids[F.NextKid++].Link);
+      Stack.push_back({Kid, &Sig.signature(Kid->Tag), 0});
+      continue;
+    }
+    const MNode *N = F.N;
+    const TagSignature &TagSig = *F.TagSig;
+    Stack.pop_back();
+    std::vector<Tree *> Kids(Done.end() - TagSig.Kids.size(), Done.end());
+    Done.resize(Done.size() - TagSig.Kids.size());
     std::vector<Literal> Lits;
     Lits.reserve(TagSig.Lits.size());
     for (const LitSpec &Spec : TagSig.Lits)
       Lits.push_back(N->Lits.at(Spec.Link));
-    return Ctx.make(N->Tag, std::move(Kids), std::move(Lits));
-  };
-  return Build(top());
-}
-
-Tree *MTree::toTreePreservingUris(TreeContext &Ctx) const {
-  if (!isClosedWellFormed())
-    return nullptr;
-  std::function<Tree *(const MNode *)> Build =
-      [&](const MNode *N) -> Tree * {
-    const TagSignature &TagSig = Sig.signature(N->Tag);
-    std::vector<Tree *> Kids;
-    Kids.reserve(TagSig.Kids.size());
-    for (const KidSpec &Spec : TagSig.Kids)
-      Kids.push_back(Build(N->Kids.at(Spec.Link)));
-    std::vector<Literal> Lits;
-    Lits.reserve(TagSig.Lits.size());
-    for (const LitSpec &Spec : TagSig.Lits)
-      Lits.push_back(N->Lits.at(Spec.Link));
-    return Ctx.adoptWithUri(N->Tag, N->Uri, std::move(Kids), std::move(Lits));
-  };
-  return Build(top());
+    Done.push_back(PreserveUris ? Ctx.adoptWithUri(N->Tag, N->Uri,
+                                                   std::move(Kids),
+                                                   std::move(Lits))
+                                : Ctx.make(N->Tag, std::move(Kids),
+                                           std::move(Lits)));
+  }
+  return Done.front();
 }
 
 bool MTree::isClosedWellFormed() const {
+  // Every reachable node is counted once per path to it, so a shared or
+  // cyclic node pushes the count past the index size and stops the walk.
   size_t Reachable = 1; // the virtual root
-  std::function<bool(const MNode *)> Walk = [&](const MNode *N) -> bool {
-    if (N == nullptr)
-      return false; // empty slot
-    ++Reachable;
-    if (!Sig.hasTag(N->Tag))
-      return false;
+  auto TopIt = Root->Kids.find(Sig.rootLink());
+  if (TopIt == Root->Kids.end())
+    return false;
+  detail::TraversalStack<const MNode *> Stack;
+  Stack.push(TopIt->second);
+  while (!Stack.empty()) {
+    const MNode *N = Stack.pop();
+    if (N == nullptr || ++Reachable > Index.size() || !Sig.hasTag(N->Tag))
+      return false; // empty slot, shared node, or unknown tag
     const TagSignature &TagSig = Sig.signature(N->Tag);
     for (const KidSpec &Spec : TagSig.Kids) {
       auto It = N->Kids.find(Spec.Link);
-      if (It == N->Kids.end() || !Walk(It->second))
+      if (It == N->Kids.end())
         return false;
+      Stack.push(It->second);
     }
     for (const LitSpec &Spec : TagSig.Lits) {
       auto It = N->Lits.find(Spec.Link);
       if (It == N->Lits.end() || It->second.kind() != Spec.Kind)
         return false;
     }
-    return true;
-  };
-  auto TopIt = Root->Kids.find(Sig.rootLink());
-  if (TopIt == Root->Kids.end() || !Walk(TopIt->second))
-    return false;
+  }
   // No leaked roots: the index holds exactly the reachable nodes.
   return Reachable == Index.size();
 }
 
-std::string MTree::nodeToString(const MNode *N) const {
-  if (N == nullptr)
-    return "<hole>";
-  std::string Out = "(" + Sig.name(N->Tag) + "_" + std::to_string(N->Uri);
-  const TagSignature &TagSig = Sig.signature(N->Tag);
-  for (const KidSpec &Spec : TagSig.Kids) {
-    Out += " ";
-    auto It = N->Kids.find(Spec.Link);
-    Out += It == N->Kids.end() ? "<hole>" : nodeToString(It->second);
+std::string MTree::toString(bool WithUris) const {
+  std::string Out;
+  struct Frame {
+    const MNode *N;
+    const TagSignature *TagSig;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  // A path longer than the arena has nodes must repeat one: a cycle,
+  // which gets a marker instead of being descended forever.
+  auto Open = [&](const MNode *N) {
+    if (N == nullptr) {
+      Out += "<hole>";
+      return;
+    }
+    if (Stack.size() > Arena.size()) {
+      Out += "<cycle>";
+      return;
+    }
+    Out.push_back('(');
+    Out += Sig.name(N->Tag);
+    if (WithUris) {
+      Out.push_back('_');
+      Out += std::to_string(N->Uri);
+    }
+    Stack.push_back({N, &Sig.signature(N->Tag), 0});
+  };
+  Open(top());
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    const MNode *N = F.N;
+    const TagSignature &TagSig = *F.TagSig;
+    if (F.NextKid < TagSig.Kids.size()) {
+      auto It = N->Kids.find(TagSig.Kids[F.NextKid++].Link);
+      Out.push_back(' ');
+      Open(It == N->Kids.end() ? nullptr : It->second);
+      continue;
+    }
+    for (const LitSpec &Spec : TagSig.Lits) {
+      Out.push_back(' ');
+      auto It = N->Lits.find(Spec.Link);
+      Out += It == N->Lits.end() ? "<missing>" : It->second.toString();
+    }
+    Out.push_back(')');
+    Stack.pop_back();
   }
-  for (const LitSpec &Spec : TagSig.Lits) {
-    Out += " ";
-    auto It = N->Lits.find(Spec.Link);
-    Out += It == N->Lits.end() ? "<missing>" : It->second.toString();
-  }
-  Out += ")";
   return Out;
 }
-
-std::string MTree::toString() const { return nodeToString(top()); }

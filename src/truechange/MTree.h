@@ -108,29 +108,28 @@ public:
   bool equalsTree(const Tree *T) const;
 
   /// Converts the patched content back into a typed tree allocated in
-  /// \p Ctx (with fresh URIs). Requires a closed, well-formed tree;
-  /// returns nullptr otherwise. Together with fromTree/patch this closes
-  /// the loop: typed tree -> standard semantics -> typed tree.
-  Tree *toTree(TreeContext &Ctx) const;
+  /// \p Ctx. Requires a closed, well-formed tree; returns nullptr
+  /// otherwise. Together with fromTree/patch this closes the loop: typed
+  /// tree -> standard semantics -> typed tree.
+  ///
+  /// With \p PreserveUris every rebuilt node keeps its MTree URI, so
+  /// scripts produced against the original tree remain meaningful against
+  /// the result; \p Ctx must then not hold a live node with any of these
+  /// URIs (pass a fresh context), and its fresh-URI counter is bumped
+  /// past the maximum adopted URI. This is how the service layer
+  /// materialises a rolled-back document: fromTree -> patch(inverse) ->
+  /// toTree(Ctx, true). Without it, nodes get fresh URIs.
+  Tree *toTree(TreeContext &Ctx, bool PreserveUris = false) const;
 
-  /// Like toTree, but every rebuilt node keeps its MTree URI, so scripts
-  /// produced against the original tree remain meaningful against the
-  /// result. \p Ctx must not hold a live node with any of these URIs
-  /// (pass a fresh context); its fresh-URI counter is bumped past the
-  /// maximum adopted URI. This is how the service layer materialises a
-  /// rolled-back document: fromTree -> patch(inverse) ->
-  /// toTreePreservingUris.
-  Tree *toTreePreservingUris(TreeContext &Ctx) const;
-
-  /// Renders the tree like printSExprWithUris, for tests and debugging.
-  std::string toString() const;
+  /// Renders the tree exactly as printSExprWithUris (or, without
+  /// \p WithUris, printSExpr) renders toTree's result, without building
+  /// it. Empty slots print as "<hole>" and missing literals as
+  /// "<missing>", so unfinished trees render too.
+  std::string toString(bool WithUris = true) const;
   /// @}
 
 private:
   PatchResult checkCompliance(const Edit &E, size_t Index) const;
-  bool nodeEqualsTree(const MNode *N, const Tree *T) const;
-  void buildFromTree(MNode *Parent, LinkId Link, const Tree *T);
-  std::string nodeToString(const MNode *N) const;
 
   const SignatureTable &Sig;
   std::deque<MNode> Arena;

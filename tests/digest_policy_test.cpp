@@ -13,14 +13,12 @@
 ///   - the central property: fast-hash and SHA-256 policies produce
 ///     byte-identical edit scripts and identical touched-URI sets over
 ///     hundreds of seeded mutation chains, cold and warm, with every
-///     script passing the linear type checker;
-///   - refreshDerivedParallel produces exactly the serial digests.
+///     script passing the linear type checker.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/Rng.h"
 #include "support/TreeHash.h"
-#include "support/WorkerPool.h"
 #include "truechange/Serialize.h"
 #include "truechange/TypeChecker.h"
 #include "truediff/TrueDiff.h"
@@ -198,77 +196,6 @@ TEST(DigestPolicyProperty, ScriptsIdenticalAcrossPoliciesColdAndWarm) {
       ASSERT_EQ(Touched[C], Touched[0]) << "seed " << Seed << " combo " << C;
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel Step-1 refresh
-//===----------------------------------------------------------------------===//
-
-/// Builds a full binary Add tree with \p Leaves Num leaves, bottom-up (no
-/// recursion), so the parallel refresh actually gets chunks to fan out.
-Tree *bigBalancedTree(TreeContext &Ctx, int Leaves) {
-  std::vector<Tree *> Level;
-  for (int I = 0; I != Leaves; ++I)
-    Level.push_back(num(Ctx, I % 10));
-  while (Level.size() > 1) {
-    std::vector<Tree *> Next;
-    for (size_t I = 0; I + 1 < Level.size(); I += 2)
-      Next.push_back(add(Ctx, Level[I], Level[I + 1]));
-    if (Level.size() % 2 != 0)
-      Next.push_back(Level.back());
-    Level = std::move(Next);
-  }
-  return Level.front();
-}
-
-TEST(DigestPolicyTest, ParallelRefreshMatchesSerialDigests) {
-  SignatureTable Sig = makeExpSignature();
-  for (DigestPolicy Policy : {DigestPolicy::Sha256, DigestPolicy::Fast128}) {
-    TreeContext SerialCtx(Sig, Policy);
-    TreeContext ParCtx(Sig, Policy);
-    Tree *Serial = bigBalancedTree(SerialCtx, 8192);
-    Tree *Par = bigBalancedTree(ParCtx, 8192);
-
-    Serial->refreshDerived(Sig, Policy);
-    WorkerPool Pool(4);
-    Par->refreshDerivedParallel(Sig, Policy, Pool);
-
-    // Node-for-node agreement, iteratively (the trees are big).
-    std::vector<std::pair<Tree *, Tree *>> Stack{{Serial, Par}};
-    while (!Stack.empty()) {
-      auto [A, B] = Stack.back();
-      Stack.pop_back();
-      ASSERT_EQ(A->structureHash(), B->structureHash());
-      ASSERT_EQ(A->literalHash(), B->literalHash());
-      ASSERT_EQ(A->height(), B->height());
-      ASSERT_EQ(A->size(), B->size());
-      ASSERT_EQ(A->arity(), B->arity());
-      for (size_t I = 0, E = A->arity(); I != E; ++I)
-        Stack.push_back({A->kid(I), B->kid(I)});
-    }
-  }
-}
-
-TEST(DigestPolicyTest, PooledStep1OptionKeepsScriptsIdentical) {
-  // TrueDiffOptions::Step1Pool only changes how the full refresh is
-  // scheduled; diff output must be unchanged.
-  SignatureTable Sig = makeExpSignature();
-  std::array<std::string, 2> Out;
-  WorkerPool Pool(3);
-  for (int Mode = 0; Mode != 2; ++Mode) {
-    TreeContext Ctx(Sig, DigestPolicy::Fast128);
-    Rng R(77);
-    Tree *Source = randomExp(Ctx, R, 7);
-    Tree *Target = mutateExp(Ctx, R, Source, 12);
-    TrueDiffOptions Opts;
-    Opts.IncrementalRehash = false; // force the full-refresh path
-    if (Mode == 1)
-      Opts.Step1Pool = &Pool;
-    TrueDiff Diff(Ctx, Opts);
-    DiffResult Res = Diff.compareTo(Source, Target);
-    Out[Mode] = serializeEditScript(Sig, Res.Script);
-  }
-  EXPECT_EQ(Out[0], Out[1]);
 }
 
 } // namespace

@@ -144,6 +144,21 @@ TEST_F(TruechangeTest, Delta3ReplacesConstructor) {
   EXPECT_NE(T.lookup(4), nullptr);
 }
 
+TEST_F(TruechangeTest, InspectingACyclicTreeTerminates) {
+  // The unchecked semantics trusts the type system, so an ill-typed
+  // script can attach a node under itself; inspection must still stop.
+  MTree T(Sig);
+  ASSERT_TRUE(T.patch(delta1()).Ok);
+  EditScript Cycle;
+  Cycle.append(Edit::detach(NodeRef{VarTag, 1}, E1, NodeRef{AddTag, 3}));
+  Cycle.append(Edit::attach(NodeRef{AddTag, 3}, E1, NodeRef{AddTag, 3}));
+  ASSERT_TRUE(T.patch(Cycle).Ok);
+  EXPECT_FALSE(T.isClosedWellFormed());
+  EXPECT_NE(T.toString().find("<cycle>"), std::string::npos);
+  TreeContext Ctx(Sig);
+  EXPECT_EQ(T.toTree(Ctx), nullptr);
+}
+
 TEST_F(TruechangeTest, FromTreePreservesUrisAndContent) {
   TreeContext Ctx(Sig);
   Tree *T = add(Ctx, var(Ctx, "a"), var(Ctx, "b"));
