@@ -370,87 +370,193 @@ DecodeScriptResult persist::decodeEditScript(const SignatureTable &Sig,
 
 namespace {
 
-void encodeTreeNode(std::string &Body, SymbolSink &Syms, const Tree *T) {
-  putVarint(Body, Syms.localIndex(T->tag()));
-  putVarint(Body, T->uri());
-  putVarint(Body, T->arity());
-  for (size_t I = 0, E = T->arity(); I != E; ++I)
-    encodeTreeNode(Body, Syms, T->kid(I));
-  putVarint(Body, T->numLits());
-  for (size_t I = 0, E = T->numLits(); I != E; ++I)
-    putLiteral(Body, T->lit(I));
-}
+/// Admission bound on the nesting of client-supplied tree blobs (see
+/// BinaryCodec.h). Snapshot decodes walk without one.
+constexpr unsigned MaxClientTreeDepth = 8192;
 
-/// Recursion guard: a hostile blob can claim arbitrarily deep nesting at
-/// ~4 bytes per level, which must not become a stack overflow.
-constexpr unsigned MaxTreeDepth = 8192;
+/// Builds typed Trees in a TreeContext: the sink for client blobs on the
+/// binary wire (fresh URIs) and for callers that want a hashed tree.
+class TreeSink {
+public:
+  using Node = Tree *;
 
-/// Decodes one node, validating the claimed structure against the
-/// signature before allocating anything in \p Ctx: kid/literal counts
-/// must match the tag's arity, literal kinds its literal specs, kid
-/// sorts its slot sorts, and URIs must be unique within the blob.
-Tree *decodeTreeNode(BinReader &R, const SignatureTable &Sig,
-                     TreeContext &Ctx, const std::vector<Symbol> &Table,
-                     std::unordered_set<URI> &SeenUris, unsigned Depth,
-                     bool PreserveUris) {
-  if (Depth > MaxTreeDepth) {
-    R.fail("tree too deep");
-    return nullptr;
-  }
-  TagId Tag = localSymbol(R, Table);
-  URI Uri = R.getVarint();
-  if (!R.ok())
-    return nullptr;
-  if (!Sig.hasTag(Tag)) {
-    R.fail("node symbol is not a constructor tag");
-    return nullptr;
-  }
-  if (!SeenUris.insert(Uri).second) {
-    R.fail("duplicate URI in tree");
-    return nullptr;
-  }
-  const TagSignature &TagSig = Sig.signature(Tag);
+  TreeSink(TreeContext &Ctx, bool PreserveUris)
+      : Ctx(Ctx), PreserveUris(PreserveUris) {}
 
-  uint64_t NumKids = R.getVarint();
-  if (R.ok() && NumKids != TagSig.Kids.size())
-    R.fail("kid count does not match tag signature");
-  if (!R.ok())
-    return nullptr;
-  std::vector<Tree *> Kids;
-  Kids.reserve(NumKids);
-  for (uint64_t I = 0; I != NumKids; ++I) {
-    Tree *Kid =
-        decodeTreeNode(R, Sig, Ctx, Table, SeenUris, Depth + 1, PreserveUris);
-    if (Kid == nullptr)
-      return nullptr;
-    if (!Sig.isSubsort(Sig.signature(Kid->tag()).Result,
-                       TagSig.Kids[I].Sort)) {
-      R.fail("kid sort does not match slot sort");
-      return nullptr;
+  bool claim(TagId, URI Uri) { return Seen.insert(Uri).second; }
+
+  Tree *build(TagId Tag, URI Uri, const TagSignature &TagSig,
+              Tree *const *Kids, std::vector<Literal> Lits) {
+    std::vector<Tree *> KidVec(Kids, Kids + TagSig.Kids.size());
+    return PreserveUris ? Ctx.adoptWithUri(Tag, Uri, std::move(KidVec),
+                                           std::move(Lits))
+                        : Ctx.make(Tag, std::move(KidVec), std::move(Lits));
+  }
+
+private:
+  TreeContext &Ctx;
+  bool PreserveUris;
+  std::unordered_set<URI> Seen;
+};
+
+/// Builds the standard semantics directly: every node is allocated and
+/// indexed in the MTree when its header is read (the index doubles as
+/// the duplicate-URI check) and wired to its kids and literals when it
+/// completes. Nothing is hashed.
+class MTreeSink {
+public:
+  using Node = MNode *;
+
+  explicit MTreeSink(MTree &M) : M(M) {}
+
+  bool claim(TagId Tag, URI Uri) {
+    MNode *N = M.addNode(Tag, Uri);
+    if (N == nullptr)
+      return false;
+    Open.push_back(N);
+    return true;
+  }
+
+  MNode *build(TagId, URI, const TagSignature &TagSig, MNode *const *Kids,
+               std::vector<Literal> Lits) {
+    MNode *N = Open.back();
+    Open.pop_back();
+    for (size_t I = 0, E = TagSig.Kids.size(); I != E; ++I)
+      N->Kids.emplace(TagSig.Kids[I].Link, Kids[I]);
+    for (size_t I = 0, E = Lits.size(); I != E; ++I)
+      N->Lits.emplace(TagSig.Lits[I].Link, std::move(Lits[I]));
+    return N;
+  }
+
+private:
+  MTree &M;
+  /// Claimed nodes whose kids are still being read, innermost last.
+  std::vector<MNode *> Open;
+};
+
+/// Walks one encodeTree body (pre-order: tag, URI, kid count, kids,
+/// literal count, literals) with an explicit stack, validating every node
+/// against the signature before \p S builds it: the symbol is a
+/// constructor tag, URIs are non-null and unique within the blob
+/// (Sink::claim), the kid count matches the tag's arity, each kid's sort
+/// fits its slot, and literal count and kinds match the literal specs.
+/// \p MaxDepth (0: none) caps the nesting. Completed kids wait on one
+/// shared stack, so \p S receives each node's kids as a contiguous run
+/// in slot order.
+template <typename Sink>
+typename Sink::Node walkTree(BinReader &R, const SignatureTable &Sig,
+                             const std::vector<Symbol> &Table,
+                             unsigned MaxDepth, Sink &S) {
+  struct Frame {
+    TagId Tag;
+    URI Uri;
+    const TagSignature *TagSig;
+    size_t NextKid;
+    size_t KidBase; // where this node's kids start on Done
+  };
+  std::vector<Frame> Stack;
+  std::vector<typename Sink::Node> Done;
+
+  // Reads one node header and pushes its frame; false once R has failed.
+  auto Enter = [&]() {
+    if (MaxDepth != 0 && Stack.size() > MaxDepth) {
+      R.fail("tree too deep");
+      return false;
     }
-    Kids.push_back(Kid);
-  }
+    TagId Tag = localSymbol(R, Table);
+    URI Uri = R.getVarint();
+    if (!R.ok())
+      return false;
+    if (!Sig.hasTag(Tag)) {
+      R.fail("node symbol is not a constructor tag");
+      return false;
+    }
+    if (Uri == NullURI) {
+      // Null names the virtual root above every tree (MTree's RootLink
+      // parent); no encoded node may claim it.
+      R.fail("null URI in tree");
+      return false;
+    }
+    if (!S.claim(Tag, Uri)) {
+      R.fail("duplicate URI in tree");
+      return false;
+    }
+    const TagSignature &TagSig = Sig.signature(Tag);
+    uint64_t NumKids = R.getVarint();
+    if (R.ok() && NumKids != TagSig.Kids.size())
+      R.fail("kid count does not match tag signature");
+    if (!R.ok())
+      return false;
+    Stack.push_back({Tag, Uri, &TagSig, 0, Done.size()});
+    return true;
+  };
 
-  uint64_t NumLits = R.getVarint();
-  if (R.ok() && NumLits != TagSig.Lits.size())
-    R.fail("literal count does not match tag signature");
-  if (!R.ok())
+  if (!Enter())
     return nullptr;
-  std::vector<Literal> Lits;
-  Lits.reserve(NumLits);
-  for (uint64_t I = 0; I != NumLits; ++I) {
-    Literal L = getLiteral(R);
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    if (F.NextKid != F.TagSig->Kids.size()) {
+      ++F.NextKid;
+      if (!Enter())
+        return nullptr;
+      continue;
+    }
+
+    uint64_t NumLits = R.getVarint();
+    if (R.ok() && NumLits != F.TagSig->Lits.size())
+      R.fail("literal count does not match tag signature");
     if (!R.ok())
       return nullptr;
-    if (L.kind() != TagSig.Lits[I].Kind) {
-      R.fail("literal kind does not match tag signature");
-      return nullptr;
+    std::vector<Literal> Lits;
+    Lits.reserve(NumLits);
+    for (uint64_t I = 0; I != NumLits; ++I) {
+      Literal L = getLiteral(R);
+      if (!R.ok())
+        return nullptr;
+      if (L.kind() != F.TagSig->Lits[I].Kind) {
+        R.fail("literal kind does not match tag signature");
+        return nullptr;
+      }
+      Lits.push_back(std::move(L));
     }
-    Lits.push_back(std::move(L));
+    typename Sink::Node N =
+        S.build(F.Tag, F.Uri, *F.TagSig, Done.data() + F.KidBase,
+                std::move(Lits));
+    Done.resize(F.KidBase);
+    SortId Sort = F.TagSig->Result;
+    Stack.pop_back();
+    if (!Stack.empty()) {
+      const Frame &Parent = Stack.back();
+      if (!Sig.isSubsort(Sort, Parent.TagSig->Kids[Parent.NextKid - 1].Sort)) {
+        R.fail("kid sort does not match slot sort");
+        return nullptr;
+      }
+    }
+    Done.push_back(N);
   }
-  return PreserveUris ? Ctx.adoptWithUri(Tag, Uri, std::move(Kids),
-                                         std::move(Lits))
-                      : Ctx.make(Tag, std::move(Kids), std::move(Lits));
+  return Done.back();
+}
+
+/// Decodes a whole tree blob into \p S: symbol table, body, no trailing
+/// bytes. Returns the root, or nullptr with \p Error set.
+template <typename Sink>
+typename Sink::Node decodeTreeInto(const SignatureTable &Sig,
+                                   std::string_view Blob, unsigned MaxDepth,
+                                   Sink &S, std::string &Error) {
+  BinReader R(Blob);
+  std::vector<Symbol> Table;
+  if (!readSymbolTable(R, Sig, Table, Error))
+    return nullptr;
+  typename Sink::Node Root = walkTree(R, Sig, Table, MaxDepth, S);
+  if (Root == nullptr || !R.ok()) {
+    Error = R.ok() ? "invalid tree blob" : R.error();
+    return nullptr;
+  }
+  if (!R.atEnd()) {
+    Error = "trailing bytes after tree";
+    return nullptr;
+  }
+  return Root;
 }
 
 } // namespace
@@ -458,7 +564,31 @@ Tree *decodeTreeNode(BinReader &R, const SignatureTable &Sig,
 std::string persist::encodeTree(const SignatureTable &Sig, const Tree *T) {
   SymbolSink Syms(Sig);
   std::string Body;
-  encodeTreeNode(Body, Syms, T);
+  // Pre-order with an explicit stack: a node's header goes out when it is
+  // entered, its literals once its last kid is written.
+  struct Frame {
+    const Tree *T;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  auto Enter = [&](const Tree *N) {
+    putVarint(Body, Syms.localIndex(N->tag()));
+    putVarint(Body, N->uri());
+    putVarint(Body, N->arity());
+    Stack.push_back({N, 0});
+  };
+  Enter(T);
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    if (F.NextKid != F.T->arity()) {
+      Enter(F.T->kid(F.NextKid++));
+      continue;
+    }
+    putVarint(Body, F.T->numLits());
+    for (size_t I = 0, E = F.T->numLits(); I != E; ++I)
+      putLiteral(Body, F.T->lit(I));
+    Stack.pop_back();
+  }
   return Syms.render() + Body;
 }
 
@@ -472,20 +602,22 @@ DecodeTreeResult persist::decodeTree(const SignatureTable &Sig,
                                      TreeContext &Ctx, std::string_view Blob,
                                      bool PreserveUris) {
   DecodeTreeResult Result;
-  BinReader R(Blob);
-  std::vector<Symbol> Table;
-  if (!readSymbolTable(R, Sig, Table, Result.Error))
+  TreeSink S(Ctx, PreserveUris);
+  Result.Root = decodeTreeInto(Sig, Blob,
+                               PreserveUris ? 0 : MaxClientTreeDepth, S,
+                               Result.Error);
+  return Result;
+}
+
+DecodeMTreeResult persist::decodeMTree(const SignatureTable &Sig,
+                                       std::string_view Blob) {
+  DecodeMTreeResult Result;
+  auto M = std::make_unique<MTree>(Sig);
+  MTreeSink S(*M);
+  MNode *Top = decodeTreeInto(Sig, Blob, 0, S, Result.Error);
+  if (Top == nullptr)
     return Result;
-  std::unordered_set<URI> SeenUris;
-  Tree *Root = decodeTreeNode(R, Sig, Ctx, Table, SeenUris, 0, PreserveUris);
-  if (Root == nullptr || !R.ok()) {
-    Result.Error = R.ok() ? "invalid tree blob" : R.error();
-    return Result;
-  }
-  if (!R.atEnd()) {
-    Result.Error = "trailing bytes after tree";
-    return Result;
-  }
-  Result.Root = Root;
+  M->setTop(Top);
+  Result.Tree = std::move(M);
   return Result;
 }

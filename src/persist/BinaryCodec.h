@@ -25,7 +25,10 @@
 ///
 /// Decoders are total: corrupt or truncated input yields an error result,
 /// never undefined behaviour, even though the CRC framing upstream makes
-/// such input unlikely.
+/// such input unlikely. Encoding and decoding are iterative, so a tree's
+/// depth costs heap, never stack: one validating walker serves both tree
+/// decoders, building either a hashed typed Tree (decodeTree) or the
+/// standard semantics' MTree (decodeMTree) from the same checks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +37,9 @@
 
 #include "tree/Tree.h"
 #include "truechange/Edit.h"
+#include "truechange/MTree.h"
 
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -71,7 +76,10 @@ struct DecodeTreeResult {
 /// Decodes a blob produced by encodeTree into \p Ctx, preserving the
 /// encoded URIs via TreeContext::adoptWithUri. \p Ctx must not hold live
 /// nodes with any of those URIs (pass a fresh context, as with
-/// MTree::toTree with PreserveUris).
+/// MTree::toTree with PreserveUris). Every node is validated against
+/// \p Sig: known constructor tag, non-null unique URI, kid count and
+/// kid sorts, literal count and kinds, and no trailing bytes. There is
+/// no depth cap: the walk is iterative and bounded by the blob's length.
 DecodeTreeResult decodeTree(const SignatureTable &Sig, TreeContext &Ctx,
                             std::string_view Blob);
 
@@ -80,9 +88,28 @@ DecodeTreeResult decodeTree(const SignatureTable &Sig, TreeContext &Ctx,
 /// TreeContext::make, so the blob can be decoded into a context that
 /// already holds live nodes. This is the mode for client-supplied trees
 /// on the binary wire protocol, where the client's URIs must not collide
-/// with a document's live URI space.
+/// with a document's live URI space. It also keeps an admission bound:
+/// nesting deeper than 8192 fails with "tree too deep" before the
+/// client's tree reaches a document.
 DecodeTreeResult decodeTree(const SignatureTable &Sig, TreeContext &Ctx,
                             std::string_view Blob, bool PreserveUris);
+
+/// Result of decoding a tree blob into the standard semantics.
+struct DecodeMTreeResult {
+  std::unique_ptr<MTree> Tree;
+  std::string Error;
+  bool ok() const { return Tree != nullptr; }
+};
+
+/// Decodes a blob produced by encodeTree straight into an MTree with the
+/// encoded URIs, the tree hanging off the root's RootLink. It accepts
+/// exactly the blobs decodeTree with preserved URIs accepts, with the
+/// same error strings, but hashes nothing: this is the snapshot and
+/// state-transfer decode, whose result feeds the replay unit
+/// (service::CommittedDoc) rather than truediff. No depth cap: the
+/// document was admitted when it was opened.
+DecodeMTreeResult decodeMTree(const SignatureTable &Sig,
+                              std::string_view Blob);
 
 } // namespace persist
 } // namespace truediff

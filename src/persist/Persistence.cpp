@@ -700,8 +700,8 @@ replay(const SignatureTable &Sig, const std::string &Dir, size_t HistoryCap,
     D.SnapSeq = D.LastSeq = Snap.Seq;
     if (Snap.Tombstone)
       continue; // the unit stays empty: erased as of Snap.Seq
-    TreeContext Ctx(Sig); // transient: load() copies the structure out
-    DecodeTreeResult TreeRes = decodeTree(Sig, Ctx, Snap.TreeBlob);
+    // Straight into the unit's MTree: nothing is hashed until install.
+    DecodeMTreeResult TreeRes = decodeMTree(Sig, Snap.TreeBlob);
     if (!TreeRes.ok()) {
       // CRC passed but the blob is undecodable: without the base state
       // the log suffix is useless for this document.
@@ -725,7 +725,7 @@ replay(const SignatureTable &Sig, const std::string &Dir, size_t HistoryCap,
         E.Author = Snap.HistoryAuthors[I];
       History.push_back(std::move(E));
     }
-    D.Doc.load(TreeRes.Root, Snap.Version, std::move(History),
+    D.Doc.load(std::move(TreeRes.Tree), Snap.Version, std::move(History),
                Snap.OpenAuthor);
     if (Prov != nullptr && !Snap.ProvBlob.empty() &&
         !Prov->installSnapshot(Doc, Snap.ProvBlob))

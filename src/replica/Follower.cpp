@@ -364,15 +364,14 @@ void Follower::onSnapshot(const DocSnapshotMsg &S) {
     return;
   }
 
-  TreeContext Tmp(Sig);
-  persist::DecodeTreeResult D = persist::decodeTree(Sig, Tmp, S.Blob);
+  persist::DecodeMTreeResult D = persist::decodeMTree(Sig, S.Blob);
   if (!D.ok())
     return; // corrupt snapshot: keep the old state; a gap will re-sync
   ReplicaDoc &RD = Docs.try_emplace(S.Doc, Sig).first->second;
   // State transfer replaces the record chain: history before it is gone
   // (and degrades explicitly on queries), the provenance index comes
   // from the snapshot's canonical blob.
-  RD.State.load(D.Root, S.Version);
+  RD.State.load(std::move(D.Tree), S.Version);
   RD.Incarnation = S.Incarnation;
   RD.DocSeq = S.Seq;
   RD.Resyncing = false;

@@ -52,10 +52,10 @@ CommittedDoc::Outcome CommittedDoc::apply(DocumentStore::StoreOp Op,
   return Outcome::Applied;
 }
 
-void CommittedDoc::load(const Tree *Root, uint64_t NewVersion,
+void CommittedDoc::load(std::unique_ptr<MTree> Tree, uint64_t NewVersion,
                         std::vector<DocumentStore::RestoreEntry> Ring,
                         std::string Author) {
-  M = std::make_unique<MTree>(MTree::fromTree(*Sig, Root));
+  M = std::move(Tree);
   Version = NewVersion;
   History.assign(std::make_move_iterator(Ring.begin()),
                  std::make_move_iterator(Ring.end()));

@@ -53,9 +53,10 @@ public:
   Outcome apply(DocumentStore::StoreOp Op, uint64_t Version,
                 const EditScript &Script, const std::string &Author);
 
-  /// Replaces the unit by a decoded snapshot: \p Root's tree (URIs
-  /// preserved) at \p Version, with \p History (oldest first) as the ring.
-  void load(const Tree *Root, uint64_t Version,
+  /// Replaces the unit by a decoded snapshot: \p Tree (URIs as
+  /// encoded; see persist::decodeMTree) at \p Version, with \p History
+  /// (oldest first) as the ring.
+  void load(std::unique_ptr<MTree> Tree, uint64_t Version,
             std::vector<DocumentStore::RestoreEntry> History = {},
             std::string OpenAuthor = std::string());
 

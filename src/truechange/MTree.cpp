@@ -36,13 +36,9 @@ MTree MTree::fromTree(const SignatureTable &Sig, const Tree *T) {
   while (!Stack.empty()) {
     Frame F = Stack.back();
     Stack.pop_back();
-    MNode *N = &M.Arena.emplace_back();
-    N->Tag = F.T->tag();
-    N->Uri = F.T->uri();
+    MNode *N = M.addNode(F.T->tag(), F.T->uri());
+    assert(N != nullptr && "URIs must be unique");
     F.Parent->Kids[F.Link] = N;
-    bool Fresh = M.Index.emplace(N->Uri, N).second;
-    assert(Fresh && "URIs must be unique");
-    (void)Fresh;
     const TagSignature &TagSig = Sig.signature(N->Tag);
     for (size_t I = F.T->arity(); I != 0; --I)
       Stack.push_back({N, TagSig.Kids[I - 1].Link, F.T->kid(I - 1)});
@@ -51,6 +47,19 @@ MTree MTree::fromTree(const SignatureTable &Sig, const Tree *T) {
   }
   return M;
 }
+
+MNode *MTree::addNode(TagId Tag, URI Uri) {
+  auto [It, Fresh] = Index.try_emplace(Uri, nullptr);
+  if (!Fresh)
+    return nullptr;
+  MNode *N = &Arena.emplace_back();
+  N->Tag = Tag;
+  N->Uri = Uri;
+  It->second = N;
+  return N;
+}
+
+void MTree::setTop(MNode *N) { Root->Kids[Sig.rootLink()] = N; }
 
 const MNode *MTree::lookup(URI Uri) const {
   auto It = Index.find(Uri);

@@ -128,6 +128,23 @@ public:
   std::string toString(bool WithUris = true) const;
   /// @}
 
+  /// \name Direct construction
+  ///
+  /// For decoders that build the standard semantics straight from a
+  /// serialized tree (persist::decodeMTree) instead of copying a typed
+  /// Tree. The caller validates the shape against the signature; these
+  /// only keep the arena and the index consistent.
+  /// @{
+
+  /// Allocates and indexes a node with \p Tag and \p Uri whose kid and
+  /// literal maps are still empty. Returns nullptr, allocating nothing,
+  /// if \p Uri is already indexed.
+  MNode *addNode(TagId Tag, URI Uri);
+
+  /// Hangs \p N off the root's RootLink.
+  void setTop(MNode *N);
+  /// @}
+
 private:
   PatchResult checkCompliance(const Edit &E, size_t Index) const;
 

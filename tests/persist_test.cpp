@@ -304,6 +304,129 @@ TEST(CodecPropertyTest, RandomPythonScriptsRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
+// Decoder parity: one tree walker, a Tree sink and an MTree sink
+//===----------------------------------------------------------------------===//
+
+/// Decodes \p Blob into a hashed Tree with its URIs, into an MTree, and
+/// into a Tree with fresh URIs (the wire mode). All three must agree on
+/// the verdict and the error string, and on accept the MTree must be
+/// closed and render exactly as the Tree prints.
+::testing::AssertionResult sinksAgree(const SignatureTable &Sig,
+                                      std::string_view Blob, bool &Accepted) {
+  TreeContext Ctx(Sig);
+  DecodeTreeResult T = decodeTree(Sig, Ctx, Blob);
+  DecodeMTreeResult M = decodeMTree(Sig, Blob);
+  TreeContext WireCtx(Sig);
+  DecodeTreeResult W = decodeTree(Sig, WireCtx, Blob, /*PreserveUris=*/false);
+  auto Verdict = [](bool Ok, const std::string &Error) {
+    return Ok ? std::string("accepted") : "rejected: " + Error;
+  };
+  if (T.ok() != M.ok() || T.Error != M.Error)
+    return ::testing::AssertionFailure()
+           << "Tree sink " << Verdict(T.ok(), T.Error) << "; MTree sink "
+           << Verdict(M.ok(), M.Error);
+  if (T.ok() != W.ok() || T.Error != W.Error)
+    return ::testing::AssertionFailure()
+           << "Tree sink " << Verdict(T.ok(), T.Error) << "; fresh-URI decode "
+           << Verdict(W.ok(), W.Error);
+  Accepted = T.ok();
+  if (!Accepted)
+    return ::testing::AssertionSuccess();
+  if (!M.Tree->isClosedWellFormed())
+    return ::testing::AssertionFailure() << "MTree sink built an open tree";
+  std::string Want = printSExprWithUris(Sig, T.Root);
+  std::string Got = M.Tree->toString();
+  if (Got != Want)
+    return ::testing::AssertionFailure()
+           << "renderings differ:\n  Tree:  " << Want << "\n  MTree: " << Got;
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs sinksAgree on \p T's blob, on every strict prefix of it, and on
+/// every single-byte flip (each byte complemented, and its lowest and
+/// highest bit flipped alone). Returns how many variants both sinks
+/// accepted.
+size_t expectParityOverCutsAndFlips(const SignatureTable &Sig, const Tree *T) {
+  std::string Blob = encodeTree(Sig, T);
+  size_t Accepted = 0;
+  bool Ok = false;
+  EXPECT_TRUE(sinksAgree(Sig, Blob, Ok));
+  EXPECT_TRUE(Ok) << "the intact blob must decode";
+  for (size_t Cut = 0; Cut != Blob.size(); ++Cut) {
+    EXPECT_TRUE(sinksAgree(Sig, std::string_view(Blob).substr(0, Cut), Ok))
+        << "prefix of " << Cut << " bytes";
+    EXPECT_FALSE(Ok) << "prefix of " << Cut << " bytes decoded";
+  }
+  static constexpr uint8_t Masks[] = {0xff, 0x01, 0x80};
+  for (size_t At = 0; At != Blob.size(); ++At) {
+    for (uint8_t Mask : Masks) {
+      std::string Flipped = Blob;
+      Flipped[At] = static_cast<char>(Flipped[At] ^ Mask);
+      EXPECT_TRUE(sinksAgree(Sig, Flipped, Ok))
+          << "byte " << At << " xor " << static_cast<unsigned>(Mask);
+      Accepted += Ok;
+    }
+  }
+  return Accepted;
+}
+
+TEST(DecoderParityTest, SinksAgreeOnCutAndFlippedPythonBlobs) {
+  uint64_t Seed = tests::testSeed(0x5eed0715);
+  SEED_TRACE(Seed);
+  SignatureTable Sig = python::makePythonSignature();
+  Rng R(Seed);
+  size_t Accepted = 0;
+  for (int Round = 0; Round != 3; ++Round) {
+    TreeContext Ctx(Sig);
+    corpus::PyGenOptions Opts;
+    Opts.NumImports = 1;
+    Opts.NumFunctions = 1;
+    Opts.NumClasses = Round == 2 ? 1 : 0;
+    Opts.MethodsPerClass = 1;
+    Opts.StmtsPerBody = 2;
+    Opts.MaxBlockDepth = 1;
+    Accepted += expectParityOverCutsAndFlips(
+        Sig, corpus::generateModule(Ctx, R, Opts));
+  }
+  // Literal and URI flips still decode: the accepting side was exercised.
+  EXPECT_GT(Accepted, 0u);
+}
+
+TEST(DecoderParityTest, SinksAgreeOnCutAndFlippedExpressionBlobs) {
+  uint64_t Seed = tests::testSeed(0x5eed0716);
+  SEED_TRACE(Seed);
+  SignatureTable Sig = makeExpSignature();
+  Rng R(Seed);
+  size_t Accepted = 0;
+  for (int Round = 0; Round != 6; ++Round) {
+    TreeContext Ctx(Sig);
+    BuildResult B = makeSExprBuilder(randomExpText(R, 4))(Ctx);
+    ASSERT_NE(B.Root, nullptr) << B.Error;
+    Accepted += expectParityOverCutsAndFlips(Sig, B.Root);
+  }
+  EXPECT_GT(Accepted, 0u);
+}
+
+TEST(DecoderParityTest, NullUriIsRejectedByBothSinks) {
+  SignatureTable Sig = makeExpSignature();
+  // Symbol table {Num}, then Num with URI 0, no kids, one Int literal.
+  std::string Blob;
+  putVarint(Blob, 1);
+  putVarint(Blob, 3);
+  Blob += "Num";
+  putVarint(Blob, 0); // tag: local symbol 0
+  putVarint(Blob, NullURI);
+  putVarint(Blob, 0); // kids
+  putVarint(Blob, 1); // literals
+  Blob.push_back(static_cast<char>(LitKind::Int));
+  putVarint(Blob, zigzag(7));
+  bool Ok = true;
+  EXPECT_TRUE(sinksAgree(Sig, Blob, Ok));
+  EXPECT_FALSE(Ok);
+  EXPECT_EQ(decodeMTree(Sig, Blob).Error, "null URI in tree");
+}
+
+//===----------------------------------------------------------------------===//
 // Hostile literals: textual Serialize round trip (the fuzz the issue
 // asks for) and the binary codec over the same corpus
 //===----------------------------------------------------------------------===//
@@ -861,6 +984,47 @@ TEST_F(RecoveryTest, SequenceCounterResumesPastRecoveredHistory) {
   // first's: sequence numbers kept increasing across the restart.
   expectStoreMatches(Fresh, {1}, Expected);
   EXPECT_EQ(R.DocsRecovered, 1u);
+}
+
+/// A Call("f", ... Num(0)) chain \p Depth Calls deep, built bottom-up.
+TreeBuilder deepChainBuilder(uint64_t Depth) {
+  return [Depth](TreeContext &Ctx) {
+    BuildResult B;
+    B.Root = num(Ctx, 0);
+    for (uint64_t I = 0; I != Depth; ++I)
+      B.Root = call(Ctx, "f", B.Root);
+    return B;
+  };
+}
+
+// A document deeper than the wire's 8192 admission bound (opened through
+// a builder, as a text parse without --max-depth allows) must survive a
+// snapshot: recovery restores it from the snapshot alone, URIs intact.
+TEST_F(RecoveryTest, DeepSnapshotsComeBack) {
+  for (uint64_t Depth : {uint64_t{9000}, uint64_t{100000}}) {
+    SCOPED_TRACE("depth " + std::to_string(Depth));
+    TempDir Dir;
+    std::string Expected;
+    {
+      DocumentStore Store(Sig);
+      Persistence P(Sig, plainConfig(Dir.path()));
+      P.attach(Store);
+      ASSERT_TRUE(Store.open(1, deepChainBuilder(Depth)).Ok);
+      ASSERT_TRUE(P.snapshotDocument(1));
+      Expected = Store.snapshot(1).UriText;
+      P.flush();
+    }
+    DocumentStore Fresh(Sig);
+    RecoveryResult R = Persistence::recover(Sig, Dir.path(), Fresh);
+    EXPECT_EQ(R.SnapshotsLoaded, 1u);
+    EXPECT_EQ(R.SnapshotsCorrupt, 0u);
+    EXPECT_EQ(R.RecordsSkipped, 1u); // the open, covered by the snapshot
+    EXPECT_EQ(R.DocsRecovered, 1u);
+    EXPECT_EQ(R.NodesRestored, Depth + 1);
+    DocumentSnapshot S = Fresh.snapshot(1);
+    ASSERT_TRUE(S.Ok);
+    EXPECT_TRUE(S.UriText == Expected) << "URI rendering changed";
+  }
 }
 
 //===----------------------------------------------------------------------===//

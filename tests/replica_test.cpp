@@ -26,9 +26,11 @@
 #include "json/Json.h"
 #include "persist/BinaryCodec.h"
 #include "service/DocumentStore.h"
+#include "service/Wire.h"
 #include "support/Rng.h"
 #include "support/Sha256.h"
 
+#include "TestLang.h"
 #include "TestSeed.h"
 
 #include <gtest/gtest.h>
@@ -318,6 +320,38 @@ TEST(Replication, CatchUpBySnapshotTransfer) {
   EXPECT_TRUE(converged(L, *F.F, Driver.numDocs()));
   EXPECT_GT(F.F->stats().SnapshotsInstalled, 0u);
   EXPECT_GT(L.Lead->stats().SnapshotsSent, 0u);
+}
+
+// A document deeper than the wire's 8192 admission bound must reach a
+// fresh follower by snapshot transfer: the follower decodes the state
+// straight into its replay unit and reads back the leader's exact URI
+// rendering.
+TEST(Replication, DeepDocumentsCatchUpBySnapshotTransfer) {
+  SignatureTable Sig = testlang::makeExpSignature();
+  for (uint64_t Depth : {uint64_t{9000}, uint64_t{100000}}) {
+    SCOPED_TRACE("depth " + std::to_string(Depth));
+    // One-record tail: the second open evicts the deep open's record,
+    // so catch-up must transfer the document as a snapshot.
+    LeaderNode L(Sig, /*Epoch=*/1, /*TailCapacity=*/1);
+    ASSERT_TRUE(L.Started);
+    service::StoreResult Deep =
+        L.Store.open(1, [Depth](TreeContext &Ctx) -> service::BuildResult {
+          Tree *T = testlang::num(Ctx, 0);
+          for (uint64_t I = 0; I != Depth; ++I)
+            T = testlang::call(Ctx, "f", T);
+          return {T, "", service::ErrCode::None};
+        });
+    ASSERT_TRUE(Deep.Ok) << Deep.Error;
+    ASSERT_TRUE(L.Store.open(2, service::makeSExprBuilder("(Num 1)")).Ok);
+    ASSERT_GT(L.Log.firstTailSeq(), 1u);
+
+    FollowerNode F(Sig);
+    ASSERT_TRUE(F.connect(L));
+    ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+    EXPECT_TRUE(converged(L, *F.F, 2));
+    EXPECT_EQ(F.F->read(1).TreeSize, Depth + 1);
+    EXPECT_GT(F.F->stats().SnapshotsInstalled, 0u);
+  }
 }
 
 TEST(Replication, SnapshotCatchUpPrunesDocsErasedWhileAway) {
