@@ -19,9 +19,10 @@
 ///  1. Fair scheduling: requests queue per document and workers drain the
 ///     sub-queues by deficit round-robin weighted by each document's
 ///     observed service time (FairQueue), so one hot or hostile document
-///     cannot monopolise the workers. An optional per-document capacity
-///     makes a flooding tenant hit its own wall long before the shared
-///     one.
+///     cannot monopolise the workers. A document runs one request at a
+///     time, so its requests execute in arrival order whatever the
+///     worker count. An optional per-document capacity makes a flooding
+///     tenant hit its own wall long before the shared one.
 ///  2. Adaptive shedding: when a document's requests keep dequeuing with
 ///     a queue sojourn above ServiceConfig::ShedTargetMs (CoDel-style:
 ///     sustained for ShedIntervalMs, not a one-off spike), the newest

@@ -28,6 +28,11 @@
 ///    answered anyway, fresh arrivals are the ones worth pushing back on.
 ///
 /// Items within one key stay FIFO; fairness reorders *across* keys only.
+/// A key also runs one item at a time: once pop hands out an item, its
+/// key leaves the ring until the consumer calls done(Key), so a second
+/// consumer cannot start the key's next item while the first still runs.
+/// Without that, two workers could pop a document's open and its submit
+/// back to back and let the document lock pick which runs first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,7 +85,7 @@ public:
       if (PerKeyCapacity != 0 && Sub.Items.size() >= PerKeyCapacity)
         return PushResult::KeyFull;
       Cost = std::min(std::max<uint64_t>(1, Cost), 64 * Quantum);
-      if (Sub.Items.empty())
+      if (Sub.Items.empty() && !Sub.InFlight)
         Active.push_back(Key);
       Sub.Items.emplace_back(std::move(Item), Cost);
       ++Size;
@@ -89,12 +94,15 @@ public:
     return PushResult::Ok;
   }
 
-  /// Blocks until an item is available and returns the next one in DRR
-  /// order, or std::nullopt once the queue is closed and fully drained.
-  std::optional<T> pop() {
+  /// Blocks until an item of a key with nothing in flight is available
+  /// and returns the next one in DRR order, or std::nullopt once the
+  /// queue is closed and fully drained. The item's key is stored in
+  /// \p KeyOut if given; it stays ineligible until done(Key).
+  std::optional<T> pop(uint64_t *KeyOut = nullptr) {
     std::unique_lock<std::mutex> Lock(Mu);
-    NotEmpty.wait(Lock, [&] { return Closed || Size != 0; });
-    if (Size == 0)
+    NotEmpty.wait(Lock,
+                  [&] { return !Active.empty() || (Closed && Size == 0); });
+    if (Active.empty())
       return std::nullopt;
 
     // Deficit round-robin over the active keys, one item per visit:
@@ -119,20 +127,44 @@ public:
         Sub.Items.pop_front();
         --Size;
         Active.pop_front();
-        if (Sub.Items.empty()) {
-          // An emptied key leaves the ring and forfeits its deficit, so
-          // idle keys cannot bank credit (standard DRR).
-          Subs.erase(Key);
-        } else {
-          Active.push_back(Key);
-          Sub.TurnCharged = false;
-        }
+        Sub.InFlight = true;
+        Sub.TurnCharged = false;
+        // An emptied key forfeits its deficit, so idle keys cannot bank
+        // credit (standard DRR).
+        if (Sub.Items.empty())
+          Sub.Deficit = 0;
+        if (KeyOut)
+          *KeyOut = Key;
+        // Consumers waiting while only in-flight keys had items must now
+        // see the drained, closed queue and exit.
+        bool Drained = Closed && Size == 0;
+        Lock.unlock();
+        if (Drained)
+          NotEmpty.notify_all();
         return Item;
       }
       Active.pop_front();
       Active.push_back(Key);
       Sub.TurnCharged = false;
     }
+  }
+
+  /// Ends the in-flight item of \p Key, which pop handed out: the key
+  /// rejoins the back of the ring if it has queued items.
+  void done(uint64_t Key) {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      auto It = Subs.find(Key);
+      if (It == Subs.end() || !It->second.InFlight)
+        return;
+      It->second.InFlight = false;
+      if (It->second.Items.empty()) {
+        Subs.erase(It);
+        return;
+      }
+      Active.push_back(Key);
+    }
+    NotEmpty.notify_one();
   }
 
   /// Removes and returns the *youngest* queued item of \p Key, or
@@ -142,16 +174,18 @@ public:
   std::optional<T> shedNewest(uint64_t Key) {
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Subs.find(Key);
-    if (It == Subs.end())
+    if (It == Subs.end() || It->second.Items.empty())
       return std::nullopt;
     SubQueue &Sub = It->second;
     T Item = std::move(Sub.Items.back().first);
     Sub.Items.pop_back();
     --Size;
-    if (Sub.Items.empty()) {
+    if (Sub.Items.empty() && !Sub.InFlight) {
       Active.erase(std::find(Active.begin(), Active.end(), Key));
       Subs.erase(It);
     }
+    if (Closed && Size == 0)
+      NotEmpty.notify_all();
     return Item;
   }
 
@@ -180,7 +214,8 @@ public:
   /// Number of keys with at least one queued item.
   size_t activeKeys() const {
     std::lock_guard<std::mutex> Lock(Mu);
-    return Active.size();
+    return std::count_if(Subs.begin(), Subs.end(),
+                         [](const auto &KV) { return !KV.second.Items.empty(); });
   }
 
   size_t capacity() const { return Capacity; }
@@ -193,6 +228,9 @@ private:
     /// Whether this key already received its quantum for the current
     /// scheduling turn; reset when the key is rotated to the back.
     bool TurnCharged = false;
+    /// Whether pop handed out one of this key's items and done(Key) has
+    /// not yet been called; such a key is kept out of the ring.
+    bool InFlight = false;
   };
 
   const size_t Capacity;
@@ -202,9 +240,10 @@ private:
   mutable std::mutex Mu;
   std::condition_variable NotEmpty;
   std::unordered_map<uint64_t, SubQueue> Subs;
-  /// Round-robin ring of keys with queued items; invariant: Key appears
-  /// here exactly once iff Subs[Key].Items is non-empty, and Size is the
-  /// sum of all sub-queue sizes.
+  /// Round-robin ring of keys that may be served; invariant: Key appears
+  /// here exactly once iff Subs[Key].Items is non-empty and the key has
+  /// nothing in flight. Subs holds every key with queued items or an item
+  /// in flight, and Size is the sum of all sub-queue sizes.
   std::deque<uint64_t> Active;
   size_t Size = 0;
   bool Closed = false;

@@ -44,6 +44,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <mutex>
 #include <string>
@@ -83,6 +84,16 @@ TreeBuilder gatedBuilder(std::shared_future<void> Gate, const char *Tag) {
   };
 }
 
+/// Pops the next item and ends it at once, as a consumer that finished
+/// the work would, so the item's key is eligible again.
+template <typename T> std::optional<T> popDone(FairQueue<T> &Q) {
+  uint64_t Key = 0;
+  std::optional<T> Item = Q.pop(&Key);
+  if (Item)
+    Q.done(Key);
+  return Item;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -100,7 +111,7 @@ TEST(FairQueueTest, DrrInterleavesHotAndColdKeys) {
 
   std::vector<int> Order;
   for (int I = 0; I != 4; ++I)
-    Order.push_back(*Q.pop());
+    Order.push_back(*popDone(Q));
   // The cold item appears within the first two dequeues (one turn of the
   // two-key ring), and the hot key stays FIFO.
   EXPECT_TRUE(Order[0] == 900 || Order[1] == 900) << Order[0] << "," << Order[1];
@@ -122,14 +133,14 @@ TEST(FairQueueTest, ExpensiveKeysGetProportionallyFewerSlots) {
     ASSERT_EQ(Q.tryPush(2, 'b', 100), PushResult::Ok);
   std::string First6;
   for (int I = 0; I != 6; ++I)
-    First6 += *Q.pop();
+    First6 += *popDone(Q);
   EXPECT_EQ(std::count(First6.begin(), First6.end(), 'a'), 2)
       << First6;
   EXPECT_EQ(std::count(First6.begin(), First6.end(), 'b'), 4)
       << First6;
   // The remainder drains completely.
   for (int I = 0; I != 6; ++I)
-    EXPECT_TRUE(Q.pop().has_value());
+    EXPECT_TRUE(popDone(Q).has_value());
   EXPECT_EQ(Q.depth(), 0u);
 }
 
@@ -163,7 +174,7 @@ TEST(FairQueueTest, ShedNewestRemovesTheYoungestOfOneKeyOnly) {
   EXPECT_EQ(Q.activeKeys(), 1u);
 
   // The ring survived the surgical removals: key 2 still pops.
-  EXPECT_EQ(*Q.pop(), 42);
+  EXPECT_EQ(*popDone(Q), 42);
   EXPECT_EQ(Q.depth(), 0u);
 }
 
@@ -172,8 +183,55 @@ TEST(FairQueueTest, CloseDrainsRemainderThenSignalsEndOfQueue) {
   ASSERT_EQ(Q.tryPush(1, 7, 100), PushResult::Ok);
   Q.close();
   EXPECT_EQ(Q.tryPush(1, 8, 100), PushResult::Closed);
-  EXPECT_EQ(*Q.pop(), 7);
+  EXPECT_EQ(*popDone(Q), 7);
   EXPECT_EQ(Q.pop(), std::nullopt);
+}
+
+TEST(FairQueueTest, KeyWithAnItemInFlightWaitsForDone) {
+  FairQueue<int> Q(16, 0, 100);
+  ASSERT_EQ(Q.tryPush(1, 10, 100), PushResult::Ok);
+  ASSERT_EQ(Q.tryPush(1, 11, 100), PushResult::Ok);
+  ASSERT_EQ(Q.tryPush(2, 20, 100), PushResult::Ok);
+
+  uint64_t Key = 0;
+  EXPECT_EQ(*Q.pop(&Key), 10);
+  EXPECT_EQ(Key, 1u);
+  // Key 1 is in flight, so the next pop serves key 2, not key 1's next.
+  EXPECT_EQ(*Q.pop(&Key), 20);
+  EXPECT_EQ(Key, 2u);
+  Q.done(2);
+  EXPECT_EQ(Q.depth(), 1u);
+  EXPECT_EQ(Q.activeKeys(), 1u);
+
+  // Another consumer blocks until key 1's item is done.
+  std::promise<int> Got;
+  std::future<int> GotF = Got.get_future();
+  std::thread Consumer([&] { Got.set_value(*Q.pop()); });
+  EXPECT_EQ(GotF.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  Q.done(1);
+  EXPECT_EQ(GotF.get(), 11);
+  Consumer.join();
+
+  // Key 1 is in flight again (11 was not done). A push behind it and a
+  // close: a waiting consumer gets the item once key 1 is done, and then
+  // the closed, drained queue ends.
+  ASSERT_EQ(Q.tryPush(1, 12, 100), PushResult::Ok);
+  Q.close();
+  std::promise<int> Last;
+  std::future<int> LastF = Last.get_future();
+  std::thread Drainer([&] {
+    uint64_t K = 0;
+    Last.set_value(*Q.pop(&K));
+    Q.done(K);
+    EXPECT_EQ(Q.pop(), std::nullopt);
+  });
+  EXPECT_EQ(LastF.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  Q.done(1);
+  EXPECT_EQ(LastF.get(), 12);
+  Drainer.join();
+  EXPECT_EQ(Q.depth(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

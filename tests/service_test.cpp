@@ -34,7 +34,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <future>
 #include <limits>
 #include <thread>
 
@@ -687,6 +689,61 @@ TEST(ConcurrentServiceTest, ShutdownRaceNeverBreaksPromises) {
       }
     // Every accepted request really executed before the workers joined.
     EXPECT_EQ(Store.snapshot(1).Version, Accepted);
+  }
+}
+
+TEST(ConcurrentServiceTest, PipelinedRequestsOfOneDocumentRunInArrivalOrder) {
+  // Each document gets an open, a run of submits and a get, all enqueued
+  // without waiting for an answer and interleaved at random across
+  // documents. Four workers serve them, yet every document's requests
+  // must run in the order they were enqueued: an open is never overtaken
+  // by its submits, and submit I always lands as version I.
+  SignatureTable Sig = makeExpSignature();
+  uint64_t Seed = tests::testSeed(31);
+  SEED_TRACE(Seed);
+  Rng R(Seed);
+  constexpr DocId NumDocs = 6;
+  constexpr int Rounds = 16;
+  for (int Round = 0; Round != Rounds; ++Round) {
+    DocumentStore Store(Sig);
+    ServiceConfig Cfg;
+    Cfg.Workers = 4;
+    Cfg.QueueCapacity = 1024;
+    DiffService Service(Store, Cfg);
+
+    // Ops[Doc][I]: 0 is the open, 1..K the submits, K+1 the get.
+    std::vector<unsigned> NumSubmits(NumDocs + 1);
+    std::vector<std::vector<std::future<Response>>> Ops(NumDocs + 1);
+    std::vector<DocId> Pending;
+    for (DocId Doc = 1; Doc <= NumDocs; ++Doc) {
+      NumSubmits[Doc] = 1 + static_cast<unsigned>(R.below(8));
+      Pending.insert(Pending.end(), NumSubmits[Doc] + 2, Doc);
+    }
+    for (size_t I = Pending.size(); I > 1; --I)
+      std::swap(Pending[I - 1], Pending[R.below(I)]);
+    for (DocId Doc : Pending) {
+      size_t Next = Ops[Doc].size();
+      std::string Text = "(Num " + std::to_string(Next) + ")";
+      if (Next == 0)
+        Ops[Doc].push_back(Service.openAsync(Doc, makeSExprBuilder(Text)));
+      else if (Next <= NumSubmits[Doc])
+        Ops[Doc].push_back(Service.submitAsync(Doc, makeSExprBuilder(Text)));
+      else
+        Ops[Doc].push_back(Service.getVersionAsync(Doc));
+    }
+
+    for (DocId Doc = 1; Doc <= NumDocs; ++Doc) {
+      for (size_t I = 0; I != Ops[Doc].size(); ++I) {
+        Response Resp = Ops[Doc][I].get();
+        ASSERT_TRUE(Resp.Ok) << "round " << Round << " doc " << Doc
+                             << " op " << I << ": " << Resp.Error;
+        EXPECT_EQ(Resp.Version, std::min<size_t>(I, NumSubmits[Doc]))
+            << "round " << Round << " doc " << Doc << " op " << I;
+      }
+      DocumentSnapshot S = Store.snapshot(Doc);
+      ASSERT_TRUE(S.Ok);
+      EXPECT_EQ(S.Text, "(Num " + std::to_string(NumSubmits[Doc]) + ")");
+    }
   }
 }
 
